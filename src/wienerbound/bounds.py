@@ -131,14 +131,10 @@ def moore_diameter_lower_bound(n: int, delta: int) -> int:
     return d
 
 
-def wiener_lower_bound_from_degree(n: int, m: int, delta: int) -> int:
-    """Lower bound on W in terms of n, m and the maximum degree delta.
-
-    Uses the smallest diameter the Moore bound admits.  When that floor is 1
-    the graph could still be complete unless m < n(n-1)/2, in which case the
-    diameter is forced to at least 2; for m = n(n-1)/2 the bound does not
-    apply.
-    """
+def diameter_floor(n: int, m: int, delta: int) -> int:
+    """Smallest diameter the Moore bound admits for order n and maximum degree
+    delta, raised to 2 when m < n(n-1)/2 rules out a complete graph; for
+    m = n(n-1)/2 (diameter 1 possible) the bound does not apply."""
     d_min = moore_diameter_lower_bound(n, delta)
     if d_min < 2:
         if m >= n * (n - 1) // 2:
@@ -146,7 +142,13 @@ def wiener_lower_bound_from_degree(n: int, m: int, delta: int) -> int:
                 "graph may be complete (diameter 1); bound requires diameter >= 2"
             )
         d_min = 2
-    return wiener_lower_bound(n, m, d_min)
+    return d_min
+
+
+def wiener_lower_bound_from_degree(n: int, m: int, delta: int) -> int:
+    """Lower bound on W in terms of n, m and the maximum degree delta, at the
+    diameter floor of ``diameter_floor``."""
+    return wiener_lower_bound(n, m, diameter_floor(n, m, delta))
 
 
 def evaluate(g: Graph) -> BoundReport:

@@ -15,8 +15,8 @@ from typing import Iterable, Iterator, TextIO
 
 from . import generators
 from .bounds import (
+    diameter_floor,
     evaluate,
-    moore_diameter_lower_bound,
     off_path_vertex_excess,
     path_pair_excess,
     wiener_lower_bound,
@@ -39,7 +39,9 @@ _RECORD_FIELDS = ("graph6", "n", "m", "d", "wiener", "bound", "gap", "tight", "a
 def _open_input(path: str | None) -> TextIO:
     if path is None or path == "-":
         return sys.stdin
-    return open(path, "r", encoding="ascii")
+    # Undecodable bytes become lone surrogates, as on stdin, so parse_graph6
+    # rejects the line with its number instead of the read aborting.
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
 
 
 def _graph_record(g: Graph, connected: bool) -> dict:
@@ -127,13 +129,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         d = args.d
         via = {"n": n, "m": m, "d": d}
     else:
-        d = moore_diameter_lower_bound(n, args.delta)
-        if d < 2:
-            if m >= n * (n - 1) // 2:
-                raise NotApplicableError(
-                    "graph may be complete (diameter 1); bound requires diameter >= 2"
-                )
-            d = 2
+        d = diameter_floor(n, m, args.delta)
         via = {"n": n, "m": m, "delta": args.delta, "d_used": d}
     value = wiener_lower_bound(n, m, d)
     if args.trace:
@@ -234,7 +230,6 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         if args.range is not None:
             start, stop = _parse_range(args.range)
         records = sharpness_scan(args.family, start=start, stop=stop)
-        violations = 0
         if args.json:
             for rec in records:
                 r = rec.report

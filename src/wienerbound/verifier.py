@@ -17,7 +17,7 @@ from . import generators
 from .bounds import BoundReport, evaluate, wiener_lower_bound
 from .errors import Graph6ParseError, NotApplicableError
 from .graph import Graph, is_connected, parse_graph6, write_graph6
-from .metrics import _bfs, diameter, diametral_path
+from .metrics import _bfs, diametral_path
 from .rng import stream
 
 DEFAULT_TIGHT_EXAMPLE_CAP = 100
@@ -337,19 +337,18 @@ def triangle_property_check(g: Graph) -> bool:
     d(u_i, w) + d(w, u_{d-i}) >= d - 2i.  Requires d >= 3 and at least one
     off-path vertex.
     """
-    d = diameter(g)
+    dpath = diametral_path(g) if g.n != 1 else [0]  # one vertex: diameter 0
+    d = len(dpath) - 1
     if d < 3:
         raise NotApplicableError(f"triangle property needs diameter >= 3, got {d}")
-    dpath = diametral_path(g)
     on_path = set(dpath)
     off_path = [w for w in range(g.n) if w not in on_path]
     if not off_path:
         raise NotApplicableError("diametral path covers every vertex")
-    for w in off_path:
-        dist_w = _bfs(g, w)
-        for i in range((d - 3) // 2 + 1):
-            if dist_w[dpath[i]] + dist_w[dpath[d - i]] < d - 2 * i:
-                return False
+    for i in range((d - 3) // 2 + 1):
+        near, far = _bfs(g, dpath[i]), _bfs(g, dpath[d - i])
+        if any(near[w] + far[w] < d - 2 * i for w in off_path):
+            return False
     return True
 
 

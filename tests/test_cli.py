@@ -1,13 +1,17 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from wienerbound.cli import main
 from wienerbound.generators import petersen, prism
 from wienerbound.graph import parse_graph6, write_edge_list, write_graph6
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -155,6 +159,21 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["parse_errors"] == 1
 
+    def test_stream_non_ascii_file_like_stdin(self, capsys, tmp_path):
+        f = tmp_path / "latin1.g6"
+        f.write_bytes(b"A_\n\xe9\xe9\nA_\n")
+        code, out, _ = run_cli(
+            ["verify", "--stream", str(f), "--skip-bad", "--json"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["parse_errors"] == 1
+        code, _, err = run_cli(["verify", "--stream", str(f)], capsys)
+        assert code == 2
+        assert "line 2" in err
+        code, _, err = run_cli(["compute", str(f)], capsys)
+        assert code == 2
+        assert "line 2" in err
+
     def test_random(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--random", "50", "--order", "20", "--seed", "7", "--json"], capsys
@@ -171,6 +190,20 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--exhaustive", "3", "--threads", "1"], capsys)
         assert code == 0
         assert "no violations" in out
+
+    def test_small_graphs_never_import_numpy(self):
+        # numpy adds ~13 MB of peak RSS to a sweep of small graphs; the engine
+        # switch at n >= 1024 exists to keep it out.
+        code = (
+            "import sys; from wienerbound import cli; "
+            "rc = cli.main(['verify', '--random', '50', '--order', '50', '--json']); "
+            "assert rc == 0, rc; assert 'numpy' not in sys.modules, 'numpy imported'"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGenerate:
@@ -264,3 +297,11 @@ class TestEntryPoint:
         )
         assert comp.returncode == 0, comp.stderr
         assert json.loads(comp.stdout)["tight"] is True
+
+    def test_python_dash_m(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wienerbound", "generate", "path", "4"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "Ch\n"

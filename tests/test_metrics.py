@@ -20,6 +20,7 @@ from wienerbound.generators import (
     random_connected,
     star,
 )
+from wienerbound.metrics import _all_sources
 from wienerbound.rng import SplitMix64
 
 from oracles import nx_diameter, nx_distribution, nx_wiener
@@ -74,16 +75,24 @@ class TestDistribution:
             assert dict(distance_distribution(g).counts) == nx_distribution(g)
 
     def test_engines_agree(self):
-        for seed in (0, 1, 2):
-            g = random_connected(150, 0.02, seed=seed)
+        # 63/64/65 straddle a uint64 word, 513 spills into a second block
+        cases = [(150, seed) for seed in (0, 1, 2)]
+        cases += [(n, 3) for n in (1, 2, 63, 64, 65, 513)]
+        for n, seed in cases:
+            g = random_connected(n, 0.02, seed=seed)
             a = distance_distribution(g, engine="python")
             b = distance_distribution(g, engine="blocked")
             assert dict(a.counts) == dict(b.counts)
+            assert _all_sources(g, "python") == _all_sources(g, "blocked")
 
     def test_blocked_engine_detects_disconnection(self):
-        g = Graph(40, [(i, i + 1) for i in range(18)] + [(20 + i, 21 + i) for i in range(18)])
-        with pytest.raises(DisconnectedGraphError):
-            distance_distribution(g, engine="blocked")
+        two_paths = Graph(40, [(i, i + 1) for i in range(18)] + [(20 + i, 21 + i) for i in range(18)])
+        isolated = Graph(5, [(0, 1), (1, 2), (2, 3)])
+        # no isolated vertex; components 0..299 and 300..599 straddle the 512-source block edge
+        split_blocks = Graph(600, [(i, i + 1) for i in range(599) if i != 299])
+        for g in (two_paths, isolated, split_blocks):
+            with pytest.raises(DisconnectedGraphError):
+                distance_distribution(g, engine="blocked")
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="engine"):
@@ -160,11 +169,15 @@ class TestDiameter:
         g = path(5)
         assert eccentricities(g) == [4, 3, 2, 3, 4]
         assert max(eccentricities(petersen())) == 2
+        # n >= 1024: "auto" runs the bit-parallel engine
+        assert eccentricities(path(1100)) == [max(i, 1099 - i) for i in range(1100)]
+        assert set(eccentricities(cycle(1030))) == {515}
 
 
 class TestDiametralPath:
     def test_path_graph(self):
         assert diametral_path(path(5)) == [0, 1, 2, 3, 4]
+        assert diametral_path(path(1100)) == list(range(1100))
 
     def test_triangle_tie_break(self):
         assert diametral_path(complete(3)) == [0, 1]
