@@ -102,7 +102,7 @@ def moore_bound(delta: int, d: int) -> MooreResult:
     """Largest order of a graph with maximum degree delta and diameter d.
 
     2d + 1 for delta = 2, else 1 + delta * sum_{i<d} (delta-1)^i, evaluated
-    by integer summation.
+    as the exact geometric series 1 + delta * ((delta-1)^d - 1) / (delta-2).
     """
     if delta < 2:
         raise NotApplicableError(f"Moore bound requires maximum degree >= 2, got {delta}")
@@ -111,23 +111,28 @@ def moore_bound(delta: int, d: int) -> MooreResult:
     if delta == 2:
         n_max = 2 * d + 1
     else:
-        n_max = 1 + delta * sum((delta - 1) ** i for i in range(d))
+        n_max = 1 + _exact_div(delta * ((delta - 1) ** d - 1), delta - 2)
     return MooreResult(delta=delta, d=d, n_max=n_max)
 
 
 def moore_diameter_lower_bound(n: int, delta: int) -> int:
     """Smallest d >= 1 whose Moore bound admits order n.
 
-    Incremental scan, no floating point, so exact Moore orders (e.g. n = 10
-    at delta = 3) land on the right side of the boundary.
+    ceil((n-1)/2) for delta = 2; otherwise a running sum of the Moore layers
+    1 + delta + delta(delta-1) + ..., all in integers, so exact Moore orders
+    (e.g. n = 10 at delta = 3) land on the right side of the boundary.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
     if delta < 2:
         raise NotApplicableError(f"requires maximum degree >= 2, got {delta}")
-    d = 1
-    while moore_bound(delta, d).n_max < n:
+    if delta == 2:
+        return max(1, -(-(n - 1) // 2))
+    d, layer, n_max = 1, delta, 1 + delta
+    while n_max < n:
         d += 1
+        layer *= delta - 1
+        n_max += layer
     return d
 
 

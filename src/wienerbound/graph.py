@@ -8,8 +8,10 @@ but every distance operation elsewhere in the package refuses them.
 
 from __future__ import annotations
 
+import re
 from collections import deque
-from typing import Iterable, Iterator, Tuple
+from math import isqrt
+from typing import Iterable, Tuple
 
 from .errors import Graph6ParseError
 
@@ -105,16 +107,29 @@ def is_connected(g: Graph) -> bool:
 # graph6
 
 
+# Python-level work is O(m): only C-level bytes scans see all n(n-1)/2 bits.
+# Decoding checks the alphabet with one translate, finds every byte other than
+# '?' (group 0) with the regex and expands it through _G6_SET_BITS, the offsets
+# of the set bits of each 6-bit group, most significant first.  Encoding adds
+# 63 to every group with one translate.
+_G6_ALPHABET = bytes(range(63, 127))
+_G6_NONZERO = re.compile(rb"[@-~]")
+_G6_SET_BITS = tuple(
+    tuple(j for j in range(6) if group >> (5 - j) & 1) for group in range(64)
+)
+_G6_ENCODE = _G6_ALPHABET + bytes(256 - 64)
+
+
 def _pair_index(u: int, v: int) -> int:
     # column-major bit position of pair (u, v), u < v:
     # (0,1),(0,2),(1,2),(0,3),(1,3),(2,3),...
     return v * (v - 1) // 2 + u
 
 
-def _iter_pairs_column_major(n: int) -> Iterator[Edge]:
-    for v in range(1, n):
-        for u in range(v):
-            yield (u, v)
+def _pair_at(i: int) -> Edge:
+    # inverse of _pair_index: v is the largest column with v(v-1)/2 <= i
+    v = (1 + isqrt(8 * i + 1)) // 2
+    return (i - v * (v - 1) // 2, v)
 
 
 def _parse_order(raw: bytes) -> tuple[int, int]:
@@ -164,23 +179,18 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {nbytes} data bytes for n={n}, got {len(body)}"
         )
-    edges = []
-    pairs = _iter_pairs_column_major(n)
-    for i, b in enumerate(body):
-        if not 63 <= b <= 126:
-            raise Graph6ParseError(f"data byte {b} outside 63..126")
-        group = b - 63
-        base = 6 * i
-        for j in range(6):
-            bit = (group >> (5 - j)) & 1
-            idx = base + j
-            if idx < nbits:
-                if bit:
-                    edges.append(next(pairs))
-                else:
-                    next(pairs)
-            elif bit:
-                raise Graph6ParseError("nonzero padding bits")
+    if body.translate(None, _G6_ALPHABET):
+        for b in body:
+            if not 63 <= b <= 126:
+                raise Graph6ParseError(f"data byte {b} outside 63..126")
+    padding = 6 * nbytes - nbits
+    if padding and (body[-1] - 63) & ((1 << padding) - 1):
+        raise Graph6ParseError("nonzero padding bits")
+    edges = [
+        _pair_at(6 * match.start() + j)
+        for match in _G6_NONZERO.finditer(body)
+        for j in _G6_SET_BITS[ord(match[0]) - 63]
+    ]
     return Graph(n, edges)
 
 
@@ -200,7 +210,7 @@ def write_graph6(g: Graph) -> str:
     for u, v in g.edges:
         idx = _pair_index(u, v)
         groups[idx // 6] |= 1 << (5 - idx % 6)
-    return (header + bytes(63 + x for x in groups)).decode("ascii")
+    return (header + groups.translate(_G6_ENCODE)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -192,12 +192,13 @@ def exhaustive_sweep(
     Iterates all 2^(n(n-1)/2) edge subsets; disconnected graphs and graphs of
     diameter < 2 are skipped and counted.  Parallel runs partition the index
     range and merge partial summaries in order, so the result is identical to
-    a single-threaded run.
+    a single-threaded run.  The pool never has more processes than the CPU
+    count, whatever ``workers`` or WIENER_THREADS asks for.
     """
     if not 2 <= n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive sweep supports 2 <= n <= {_EXHAUSTIVE_MAX_N}, got {n}")
     total = 1 << (n * (n - 1) // 2)
-    workers = min(resolve_workers(workers), total)
+    workers = min(resolve_workers(workers), total, os.cpu_count() or 1)
     if workers == 1:
         return _sweep_mask_range(n, 0, total, tight_example_cap)
     import multiprocessing as mp

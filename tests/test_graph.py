@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wienerbound import (
     Graph,
@@ -11,9 +18,24 @@ from wienerbound import (
     write_edge_list,
     write_graph6,
 )
-from wienerbound.generators import petersen, prism, random_connected
+from wienerbound.generators import petersen, prism, random_connected, random_connected_m
 
 from oracles import from_nx, to_nx
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@st.composite
+def graphs(draw, max_order=130):
+    # orders on both sides of the single-byte / '~' header switch at 62/63
+    n = draw(st.one_of(st.integers(0, max_order), st.sampled_from([61, 62, 63, 64])))
+    if n < 2:
+        return Graph(n)
+    # (u, u + k mod n) with 1 <= k < n is never a self-loop
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % n)
+    )
+    return Graph(n, draw(st.lists(pair, max_size=3 * n)))
 
 
 class TestConstruction:
@@ -117,6 +139,34 @@ class TestGraph6Parse:
         with pytest.raises(Graph6ParseError, match="ASCII"):
             parse_graph6("Aé")
 
+    def test_bad_last_byte_is_data_error_not_padding(self):
+        # read as a group, ':' (58) and '>' (62) would also set padding bits;
+        # the alphabet check comes first
+        for n in (2, 3, 5, 11):
+            nbits = n * (n - 1) // 2
+            body = "?" * ((nbits + 5) // 6 - 1)
+            for bad in (":", ">", "\x7f"):
+                with pytest.raises(Graph6ParseError, match=f"data byte {ord(bad)} outside"):
+                    parse_graph6(chr(63 + n) + body + bad)
+
+    def test_padding_rejected_at_every_residue(self):
+        residues = set()
+        for n in range(2, 15):
+            nbits = n * (n - 1) // 2
+            padding = -nbits % 6
+            if not padding:
+                continue
+            residues.add(nbits % 6)
+            prefix = chr(63 + n) + "?" * ((nbits + 5) // 6 - 1)
+            for p in range(padding):
+                with pytest.raises(Graph6ParseError, match="padding"):
+                    parse_graph6(prefix + chr(63 + (1 << p)))
+            # the lowest bit above the padding is the last pair, (n-2, n-1)
+            last = parse_graph6(prefix + chr(63 + (1 << padding)))
+            assert last == Graph(n, [(n - 2, n - 1)])
+        # n(n-1)/2 mod 6 takes only the values 0, 1, 3 and 4
+        assert residues == {1, 3, 4}
+
 
 class TestGraph6Write:
     def test_k2(self):
@@ -160,6 +210,34 @@ class TestGraph6Write:
     def test_disconnected_round_trip(self):
         g = Graph(5, [(0, 1), (2, 3)])
         assert parse_graph6(write_graph6(g)) == g
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(graphs())
+    def test_round_trip_property(self, g):
+        line = write_graph6(g)
+        assert line.startswith("~") == (g.n > 62)
+        assert parse_graph6(line) == g
+        assert line == nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+
+    def test_nx_agreement_past_engine_switch(self):
+        g = random_connected_m(1100, 3000, seed=5)
+        expected = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+        assert write_graph6(g) == expected
+        assert parse_graph6(expected) == g
+
+    def test_codec_never_imports_numpy(self):
+        # the codec runs in the small-graph sweeps, which must stay numpy-free
+        code = (
+            "import sys; from wienerbound.graph import Graph, parse_graph6, write_graph6; "
+            "g = Graph(2000, [(v - 1, v) for v in range(1, 2000)] + [(0, 1999)]); "
+            "assert parse_graph6(write_graph6(g)) == g; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestEdgeListText:

@@ -90,7 +90,10 @@ class TestDistribution:
         isolated = Graph(5, [(0, 1), (1, 2), (2, 3)])
         # no isolated vertex; components 0..299 and 300..599 straddle the 512-source block edge
         split_blocks = Graph(600, [(i, i + 1) for i in range(599) if i != 299])
-        for g in (two_paths, isolated, split_blocks):
+        # the last levels gather only the rows of vertices still missing a
+        # source; the stray edge is never reached and must still be reported
+        stray_edge = Graph(1100, [(i, i + 1) for i in range(1097)] + [(1098, 1099)])
+        for g in (two_paths, isolated, split_blocks, stray_edge):
             with pytest.raises(DisconnectedGraphError):
                 distance_distribution(g, engine="blocked")
 

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import networkx as nx
 import pytest
 
@@ -58,6 +61,34 @@ class TestExhaustiveSweep:
         seq = exhaustive_sweep(5, workers=1)
         par = exhaustive_sweep(5, workers=2)
         assert seq.to_dict() == par.to_dict()
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a fake pool records its size and runs in-process: no worker starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, k):
+                sizes.append(k)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, spans):
+                return [fn(*span) for span in spans]
+
+        class FakeContext:
+            Pool = FakePool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        expected = exhaustive_sweep(4, workers=1).to_dict()
+        assert exhaustive_sweep(4, workers=100_000).to_dict() == expected
+        monkeypatch.setenv("WIENER_THREADS", "100000")
+        assert exhaustive_sweep(4).to_dict() == expected
+        assert sizes == [3, 3]
 
     def test_tight_example_cap(self):
         summary = exhaustive_sweep(5, workers=1, tight_example_cap=10)
