@@ -156,19 +156,27 @@ def wiener_lower_bound_from_degree(n: int, m: int, delta: int) -> int:
     return wiener_lower_bound(n, m, diameter_floor(n, m, delta))
 
 
-def evaluate(g: Graph) -> BoundReport:
-    """Compute Wiener index, diameter and the bound for a connected graph."""
-    dist = distance_distribution(g)
-    d = dist.diameter
-    w = dist.wiener
-    if d >= 2:
-        bound = wiener_lower_bound(g.n, g.m, d)
-        gap = w - bound
+def bound_report(n: int, m: int, d: int, wiener: int) -> BoundReport:
+    """The bound against the Wiener index of a connected graph of order n,
+    size m and diameter d; not applicable (null fields) for d < 2."""
+    if d < 2:
         return BoundReport(
-            n=g.n, m=g.m, d=d, wiener=w,
-            applicable=True, bound=bound, gap=gap, tight=gap == 0,
+            n=n, m=m, d=d, wiener=wiener,
+            applicable=False, bound=None, gap=None, tight=None,
         )
+    bound = wiener_lower_bound(n, m, d)
+    gap = wiener - bound
     return BoundReport(
-        n=g.n, m=g.m, d=d, wiener=w,
-        applicable=False, bound=None, gap=None, tight=None,
+        n=n, m=m, d=d, wiener=wiener,
+        applicable=True, bound=bound, gap=gap, tight=gap == 0,
     )
+
+
+def evaluate(g: Graph) -> BoundReport:
+    """Compute Wiener index, diameter and the bound for a connected graph.
+
+    The distance pass raises DisconnectedGraphError for a disconnected graph
+    and ValueError for the empty one.
+    """
+    dist = distance_distribution(g)
+    return bound_report(g.n, g.m, dist.diameter, dist.wiener)

@@ -9,6 +9,7 @@ object for summaries).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Iterable, Iterator, TextIO
@@ -21,8 +22,8 @@ from .bounds import (
     path_pair_excess,
     wiener_lower_bound,
 )
-from .errors import DisconnectedGraphError, Graph6ParseError, NotApplicableError
-from .graph import Graph, is_connected, parse_edge_list, parse_graph6, write_edge_list, write_graph6
+from .errors import DisconnectedGraphError
+from .graph import Graph, parse_edge_list, read_graph6, write_edge_list, write_graph6
 from .verifier import (
     SHARPNESS_FAMILIES,
     SweepSummary,
@@ -36,27 +37,33 @@ from .verifier import (
 _RECORD_FIELDS = ("graph6", "n", "m", "d", "wiener", "bound", "gap", "tight", "applicable")
 
 
-def _open_input(path: str | None) -> TextIO:
+def _open_input(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
     if path is None or path == "-":
-        return sys.stdin
+        return contextlib.nullcontext(sys.stdin)
     # Undecodable bytes become lone surrogates, as on stdin, so parse_graph6
     # rejects the line with its number instead of the read aborting.
     return open(path, "r", encoding="ascii", errors="surrogateescape")
 
 
-def _graph_record(g: Graph, connected: bool) -> dict:
-    """Flat output record; distance fields are null when disconnected."""
+def _graph_record(g: Graph, allow_disconnected: bool) -> dict:
+    """Flat output record.  A disconnected or empty graph is an error, or,
+    when ``allow_disconnected`` is set, a record with null distance fields."""
     record = dict.fromkeys(_RECORD_FIELDS)
-    record["graph6"] = write_graph6(g)
-    record["n"] = g.n
-    record["m"] = g.m
-    record["applicable"] = False
-    if connected:
-        report = evaluate(g)
-        record.update(
-            d=report.d, wiener=report.wiener, bound=report.bound,
-            gap=report.gap, tight=report.tight, applicable=report.applicable,
-        )
+    record.update(graph6=write_graph6(g), n=g.n, m=g.m, applicable=False)
+    try:
+        report = evaluate(g) if g.n else None  # the distance pass needs a vertex
+    except DisconnectedGraphError:
+        report = None
+    if report is None:
+        if not allow_disconnected:
+            raise DisconnectedGraphError(
+                "input graph is disconnected (use --allow-disconnected to report it)"
+            )
+        return record
+    record.update(
+        d=report.d, wiener=report.wiener, bound=report.bound,
+        gap=report.gap, tight=report.tight, applicable=report.applicable,
+    )
     return record
 
 
@@ -88,36 +95,23 @@ def _print_record_rows(records: Iterable[dict], out: TextIO) -> None:
 
 
 def _iter_compute_graphs(args: argparse.Namespace) -> Iterator[Graph]:
-    stream_in = _open_input(args.input)
-    try:
+    with _open_input(args.input) as stream_in:
         if args.format == "g6":
-            for lineno, line in enumerate(stream_in, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    yield parse_graph6(line)
-                except Graph6ParseError as exc:
-                    raise Graph6ParseError(f"line {lineno}: {exc}") from exc
+            yield from read_graph6(stream_in)
         else:
             yield parse_edge_list(stream_in.read())
-    finally:
-        if stream_in is not sys.stdin:
-            stream_in.close()
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     def records() -> Iterator[dict]:
         for g in _iter_compute_graphs(args):
-            connected = g.n > 0 and is_connected(g)
-            if not connected and not args.allow_disconnected:
-                raise DisconnectedGraphError(
-                    "input graph is disconnected (use --allow-disconnected to report it)"
-                )
-            yield _graph_record(g, connected)
+            yield _graph_record(g, args.allow_disconnected)
 
     if args.json:
         for record in records():
-            sys.stdout.write(json.dumps(record) + "\n")
+            # two writes: the graph6 field can be megabytes, so no joined copy
+            sys.stdout.write(json.dumps(record))
+            sys.stdout.write("\n")
     else:
         _print_record_rows(records(), sys.stdout)
     return 0
@@ -175,12 +169,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.exhaustive is not None:
         summary = exhaustive_sweep(args.exhaustive, workers=args.threads)
     elif args.stream is not None:
-        stream_in = _open_input(args.stream)
-        try:
+        with _open_input(args.stream) as stream_in:
             summary = stream_sweep(stream_in, skip_bad=args.skip_bad)
-        finally:
-            if stream_in is not sys.stdin:
-                stream_in.close()
     else:
         if args.order is None:
             raise ValueError("--random needs --order")
@@ -355,10 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except BrokenPipeError:
         return 0
-    except (Graph6ParseError, DisconnectedGraphError, NotApplicableError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # the package's errors are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

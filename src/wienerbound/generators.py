@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from itertools import combinations
 
-from .graph import Graph
+from .graph import Graph, _pair_at
 from .rng import SplitMix64
 
 
@@ -142,13 +142,6 @@ def random_connected_m(n: int, m: int, seed: int) -> Graph:
         for u, v in _random_tree_edges(n, tree_rng)
     }
     while len(edges) < m:
-        # pair index in column-major order -> (u, v) by inverting v(v-1)/2
-        idx = pick_rng.below(max_m)
-        v = int(((1 + 8 * idx) ** 0.5 + 1) // 2)
-        while v * (v - 1) // 2 > idx:
-            v -= 1
-        while (v + 1) * v // 2 <= idx:
-            v += 1
-        u = idx - v * (v - 1) // 2
-        edges.add((u, v))
+        # a pair index in graph6's column-major order
+        edges.add(_pair_at(pick_rng.below(max_m)))
     return Graph(n, edges)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from math import isqrt
-from typing import Iterable, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from .errors import Graph6ParseError
 
@@ -192,6 +192,24 @@ def parse_graph6(text: str) -> Graph:
         for j in _G6_SET_BITS[ord(match[0]) - 63]
     ]
     return Graph(n, edges)
+
+
+def read_graph6(lines: Iterable[str], skip_bad: bool = False) -> Iterator[Graph | None]:
+    """Decode graph6 lines in order, skipping blank ones.
+
+    A malformed line raises Graph6ParseError prefixed with its line number
+    (blank lines count), or yields None when ``skip_bad`` is set.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            g = parse_graph6(line)
+        except Graph6ParseError as exc:
+            if not skip_bad:
+                raise Graph6ParseError(f"line {lineno}: {exc}") from exc
+            g = None
+        yield g
 
 
 def write_graph6(g: Graph) -> str:

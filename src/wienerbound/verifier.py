@@ -11,12 +11,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import generators
-from .bounds import BoundReport, evaluate, wiener_lower_bound
-from .errors import Graph6ParseError, NotApplicableError
-from .graph import Graph, is_connected, parse_graph6, write_graph6
+from .bounds import BoundReport, bound_report, evaluate, wiener_lower_bound
+from .errors import DisconnectedGraphError, NotApplicableError
+from .graph import Graph, read_graph6, write_graph6
 from .metrics import _bfs, diametral_path
 from .rng import stream
 
@@ -46,8 +46,16 @@ class SweepSummary:
     skipped_inapplicable: int = 0
     parse_errors: int = 0
 
-    def record(self, report: BoundReport, graph6: str, cap: int) -> None:
-        """Fold one applicable BoundReport into the summary."""
+    def record(self, report: BoundReport, graph6: Callable[[], str], cap: int) -> None:
+        """Fold the BoundReport of one connected graph into the summary.
+
+        A report that does not apply counts under ``skipped_inapplicable``.
+        ``graph6`` encodes the graph; it is called only for a tight example
+        that is kept.
+        """
+        if not report.applicable:
+            self.skipped_inapplicable += 1
+            return
         self.applicable += 1
         gap = report.gap
         if self.min_gap is None or gap < self.min_gap:
@@ -59,7 +67,7 @@ class SweepSummary:
         elif gap == 0:
             self.tight_count += 1
             if len(self.tight_examples) < cap:
-                self.tight_examples.append(graph6)
+                self.tight_examples.append(graph6())
 
     def merge(self, other: "SweepSummary", cap: int) -> None:
         """Associative, order-respecting fold of a partition's summary."""
@@ -112,7 +120,8 @@ def _sweep_mask_range(
     """Evaluate every labeled graph whose edge-subset index lies in [lo, hi).
 
     Adjacency is kept as per-vertex bitmasks; BFS expands whole frontiers
-    with bitwise or, which keeps the 2^21-graph sweep at n = 7 cheap.
+    with bitwise or, which keeps the 2^21-graph sweep at n = 7 cheap.  The
+    search from vertex 0 decides connectivity.
     """
     pairs = list(combinations(range(n), 2))
     summary = SweepSummary()
@@ -127,20 +136,6 @@ def _sweep_mask_range(
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             mm ^= low
-        reached = 1
-        while True:
-            grown = reached
-            t = reached
-            while t:
-                low = t & -t
-                grown |= adj[low.bit_length() - 1]
-                t ^= low
-            if grown == reached:
-                break
-            reached = grown
-        if reached != full:
-            summary.skipped_disconnected += 1
-            continue
         double_wiener = 0
         diam = 0
         for src in range(n):
@@ -161,24 +156,18 @@ def _sweep_mask_range(
                 double_wiener += k * nxt.bit_count()
                 seen |= nxt
                 frontier = nxt
+            if seen != full:
+                break
             if k > diam:
                 diam = k
-        if diam < 2:
-            summary.skipped_inapplicable += 1
+        if seen != full:
+            summary.skipped_disconnected += 1
             continue
-        m = mask.bit_count()
-        wiener = double_wiener // 2
-        bound = wiener_lower_bound(n, m, diam)
-        report = BoundReport(
-            n=n, m=m, d=diam, wiener=wiener,
-            applicable=True, bound=bound, gap=wiener - bound,
-            tight=wiener == bound,
+        summary.record(
+            bound_report(n, mask.bit_count(), diam, double_wiener // 2),
+            lambda mask=mask: write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])),
+            cap,
         )
-        g6 = ""
-        if report.gap == 0 and len(summary.tight_examples) < cap:
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            g6 = write_graph6(Graph(n, edges))
-        summary.record(report, g6, cap)
     return summary
 
 
@@ -215,20 +204,25 @@ def exhaustive_sweep(
     return summary
 
 
-def _fold_graph(summary: SweepSummary, g: Graph, cap: int) -> None:
-    summary.graphs_checked += 1
-    if g.n == 0:
-        summary.skipped_inapplicable += 1
-        return
-    if not is_connected(g):
-        summary.skipped_disconnected += 1
-        return
-    report = evaluate(g)
-    if not report.applicable:
-        summary.skipped_inapplicable += 1
-        return
-    g6 = write_graph6(g) if report.gap == 0 else ""
-    summary.record(report, g6, cap)
+def _fold(graphs: Iterable[Graph | None], cap: int) -> SweepSummary:
+    """The sweep driver for graph iterables; None stands for a line that did
+    not parse."""
+    summary = SweepSummary()
+    for g in graphs:
+        if g is None:
+            summary.parse_errors += 1
+            continue
+        summary.graphs_checked += 1
+        if g.n == 0:  # the distance pass needs a vertex
+            summary.skipped_inapplicable += 1
+            continue
+        try:
+            report = evaluate(g)
+        except DisconnectedGraphError:
+            summary.skipped_disconnected += 1
+            continue
+        summary.record(report, lambda g=g: write_graph6(g), cap)
+    return summary
 
 
 def stream_sweep(
@@ -241,19 +235,7 @@ def stream_sweep(
     Blank lines are ignored.  A malformed line aborts with its line number
     unless ``skip_bad`` is set, in which case it is counted and skipped.
     """
-    summary = SweepSummary()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            g = parse_graph6(line)
-        except Graph6ParseError as exc:
-            if skip_bad:
-                summary.parse_errors += 1
-                continue
-            raise Graph6ParseError(f"line {lineno}: {exc}") from exc
-        _fold_graph(summary, g, tight_example_cap)
-    return summary
+    return _fold(read_graph6(lines, skip_bad), tight_example_cap)
 
 
 def iter_random_corpus(count: int, max_order: int, seed: int) -> Iterable[Graph]:
@@ -281,10 +263,7 @@ def random_sweep(
     tight_example_cap: int = DEFAULT_TIGHT_EXAMPLE_CAP,
 ) -> SweepSummary:
     """Check the bound on seeded random connected graphs of mixed density."""
-    summary = SweepSummary()
-    for g in iter_random_corpus(count, max_order, seed):
-        _fold_graph(summary, g, tight_example_cap)
-    return summary
+    return _fold(iter_random_corpus(count, max_order, seed), tight_example_cap)
 
 
 @dataclass(frozen=True)

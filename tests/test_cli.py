@@ -9,7 +9,7 @@ import pytest
 
 from wienerbound.cli import main
 from wienerbound.generators import petersen, prism
-from wienerbound.graph import parse_graph6, write_edge_list, write_graph6
+from wienerbound.graph import Graph, parse_graph6, write_edge_list, write_graph6
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -73,6 +73,43 @@ class TestCompute:
         assert record["wiener"] is None
         assert record["applicable"] is False
         assert record["n"] == 2 and record["m"] == 0
+
+    def test_large_disconnected_graph(self, capsys, tmp_path):
+        # two paths of 550 vertices, no isolated vertex: the blocked engine's
+        # level that finds nothing decides
+        edges = [(i, i + 1) for i in range(1099) if i != 549]
+        f = tmp_path / "two_paths.g6"
+        f.write_text(write_graph6(Graph(1100, edges)) + "\n")
+        code, out, err = run_cli(["compute", str(f), "--json"], capsys)
+        assert code == 2 and out == ""
+        assert "disconnected" in err
+        code, out, _ = run_cli(["compute", str(f), "--json", "--allow-disconnected"], capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert record["n"] == 1100 and record["m"] == 1098
+        assert record["d"] is record["wiener"] is record["bound"] is None
+        assert record["applicable"] is False
+
+    def test_empty_graph(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("?\n"))
+        code, _, err = run_cli(["compute"], capsys)
+        assert code == 2
+        assert "disconnected" in err
+        monkeypatch.setattr(sys, "stdin", io.StringIO("?\n"))
+        code, out, _ = run_cli(["compute", "--json", "--allow-disconnected"], capsys)
+        assert code == 0
+        assert json.loads(out) == {
+            "graph6": "?", "n": 0, "m": 0, "d": None, "wiener": None,
+            "bound": None, "gap": None, "tight": None, "applicable": False,
+        }
+
+    def test_single_vertex(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("@\n"))
+        code, out, _ = run_cli(["compute", "--json"], capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert record["d"] == 0 and record["wiener"] == 0
+        assert record["applicable"] is False and record["bound"] is None
 
     def test_human_table(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(write_graph6(prism()) + "\n"))
@@ -143,6 +180,15 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "--stream", str(f), "--json"], capsys)
         assert code == 0
         assert json.loads(out)["tight_count"] == 2
+
+    def test_stream_empty_and_single_vertex(self, capsys, tmp_path):
+        f = tmp_path / "tiny.g6"
+        f.write_text("?\n@\n")
+        code, out, _ = run_cli(["verify", "--stream", str(f), "--json"], capsys)
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["graphs_checked"] == 2
+        assert summary["skipped_inapplicable"] == 2
 
     def test_stream_bad_line_exits_2(self, capsys, tmp_path):
         f = tmp_path / "bad.g6"

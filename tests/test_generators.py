@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from wienerbound import diameter, is_connected, wiener_index
@@ -149,6 +151,15 @@ class TestRandomConnectedM:
             random_connected_m(10, 8, seed=0)
         with pytest.raises(ValueError):
             random_connected_m(10, 46, seed=0)
+
+    @pytest.mark.parametrize("args, digest", [
+        ((50, 120, 9), "dee2ed487f5a462556e5b60d9fe88728a18124bff0ccc0a5a4f028de5a79e6f2"),
+        ((1100, 3000, 5), "71d69df3355ba698b4512a4c1ddf7f993af76afbe4babb0e97c44a410fba2af3"),
+    ])
+    def test_frozen_edge_lists(self, args, digest):
+        # sha256 of repr(sorted(edges)), frozen from the float-sqrt pair inverse
+        edges = sorted(random_connected_m(*args).edges)
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
 
 class TestSplitMix64:

@@ -18,6 +18,7 @@ from wienerbound import (
     write_edge_list,
     write_graph6,
 )
+from wienerbound.graph import read_graph6
 from wienerbound.generators import petersen, prism, random_connected, random_connected_m
 
 from oracles import from_nx, to_nx
@@ -166,6 +167,16 @@ class TestGraph6Parse:
             assert last == Graph(n, [(n - 2, n - 1)])
         # n(n-1)/2 mod 6 takes only the values 0, 1, 3 and 4
         assert residues == {1, 3, 4}
+
+
+class TestReadGraph6:
+    def test_blank_lines_skipped_but_counted(self):
+        with pytest.raises(Graph6ParseError, match="^line 4: "):
+            list(read_graph6(["A_\n", "\n", "   \n", "%%%\n"]))
+
+    def test_skip_bad_yields_none(self):
+        got = list(read_graph6(["A_", "", "%%%", "@"], skip_bad=True))
+        assert got == [Graph(2, [(0, 1)]), None, Graph(1)]
 
 
 class TestGraph6Write:

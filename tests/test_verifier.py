@@ -138,6 +138,22 @@ class TestStreamSweep:
         assert summary.graphs_checked == 2
         assert summary.tight_count == 1
 
+    def test_tight_example_encoded_only_when_kept(self, monkeypatch):
+        from wienerbound import verifier
+
+        calls = []
+
+        def counting_write(g):
+            calls.append(g)
+            return write_graph6(g)
+
+        monkeypatch.setattr(verifier, "write_graph6", counting_write)
+        lines = [write_graph6(g) for g in (path(5), star(4), prism(), petersen())]
+        summary = stream_sweep(lines, tight_example_cap=1)
+        assert summary.tight_count == 4
+        assert summary.tight_examples == lines[:1]
+        assert len(calls) == 1
+
     def test_disconnected_counted(self):
         summary = stream_sweep([write_graph6(Graph(4, [(0, 1), (2, 3)]))])
         assert summary.skipped_disconnected == 1
