@@ -17,6 +17,7 @@ from wienerbound.generators import (
 from wienerbound.graph import Graph
 from wienerbound.metrics import bfs_distances
 from wienerbound.rng import SplitMix64, stream
+from wienerbound.verifier import iter_random_corpus, random_sweep
 
 
 class TestNamedFamilies:
@@ -135,6 +136,35 @@ class TestRandomConnected:
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             random_connected(5, 1.5, seed=0)
+
+
+class TestRandomCorpus:
+    # Frozen from the generator that drew every pair through SplitMix64.chance;
+    # any faster draw loop must give the same graphs and the same sweep.
+    def test_frozen_corpus_digest(self):
+        corpus = [(g.n, sorted(g.edges)) for g in iter_random_corpus(500, 50, seed=0)]
+        digest = hashlib.sha256(repr(corpus).encode()).hexdigest()
+        assert digest == "11def54ef99fae09db7f5da064e367e386469fe310205dcb2cfbbdd2b32a1319"
+
+    def test_frozen_sweep(self):
+        summary = random_sweep(500, 50, seed=0).to_dict()
+        tight = summary.pop("tight_examples")
+        assert summary == {
+            "graphs_checked": 500,
+            "applicable": 481,
+            "violations": 0,
+            "tight_count": 331,
+            "min_gap": 0,
+            "max_gap": 3602,
+            "skipped_disconnected": 0,
+            "skipped_inapplicable": 19,
+            "parse_errors": 0,
+        }
+        # sha256 of the kept graph6 lines, newline-joined, in sweep order
+        assert len(tight) == 100
+        assert hashlib.sha256("\n".join(tight).encode()).hexdigest() == (
+            "12f53b0b80b393731e9b06b03b1288916c8bc6155f4abc185e9ce33b4ebad9d9"
+        )
 
 
 class TestRandomConnectedM:
