@@ -12,7 +12,7 @@ import heapq
 from itertools import combinations
 
 from .graph import Graph, _pair_at
-from .rng import SplitMix64
+from .rng import _GOLDEN, _MASK64, _MIX_A, _MIX_B, SplitMix64
 
 
 def path(n: int) -> Graph:
@@ -114,14 +114,20 @@ def random_connected(n: int, extra_edge_probability: float, seed: int) -> Graph:
         raise ValueError("extra edge probability must be in [0, 1]")
     root = SplitMix64(seed)
     tree_rng = root.split()
-    extra_rng = root.split()
     edges = {
         (u, v) if u < v else (v, u)
         for u, v in _random_tree_edges(n, tree_rng)
     }
+    # One draw per pair, so the stream layout is independent of the tree.
+    # This is ``root.split().chance(p)`` per pair with the splitmix64 step
+    # written out: the split stream's state is the root's next output.
+    state = root.next_u64()
+    threshold = int(extra_edge_probability * (1 << 64))
     for pair in combinations(range(n), 2):
-        # one draw per pair, so the stream layout is independent of the tree
-        if extra_rng.chance(extra_edge_probability):
+        state = (state + _GOLDEN) & _MASK64
+        z = ((state ^ (state >> 30)) * _MIX_A) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+        if z ^ (z >> 31) < threshold:
             edges.add(pair)
     return Graph(n, edges)
 

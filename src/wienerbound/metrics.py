@@ -3,9 +3,10 @@ diametral paths, and the on-path/off-path pair partition.
 
 Everything is exact integer arithmetic.  One pass over all sources yields both
 the distance distribution and the eccentricities, without materializing an
-n-by-n table: the default engine runs one BFS per source with O(n) memory, and
-the blocked engine used for large graphs runs 512 sources at once as bits of
-uint64 words, keeping one block of frontiers alive.
+n-by-n table: the Python engine runs one BFS per source over Python-int
+bitsets, one adjacency mask per vertex, and the blocked engine used for large
+graphs runs 512 sources at once as bits of uint64 words, keeping one block of
+frontiers alive.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from typing import Mapping
 from .errors import DisconnectedGraphError
 from .graph import Graph
 
-# From this order on, "auto" runs the bit-parallel engine.  It is faster per
-# graph on small inputs too (0.11-0.20 ms against 0.79 ms on the n <= 50
-# graphs of ``verify --random``), but importing numpy raises that command's
-# peak RSS from 17 MB to 30 MB, so small graphs must never import numpy.
+# From this order on, "auto" runs the bit-parallel engine.  On the n <= 50
+# graphs of ``verify --random`` the two engines take the same time per graph
+# (0.16-0.18 ms blocked, 0.18-0.20 ms bitset, 2 vCPUs), and at n = 512 the blocked one
+# is faster still; the switch stays here because importing numpy raises that
+# command's peak RSS from 17 MB to 30 MB, so small graphs must never import it.
 _BLOCKED_ENGINE_MIN_N = 1024
 _BLOCK_WORDS = 8  # sources per block of the bit-parallel engine, in uint64 words
 
@@ -99,20 +101,43 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def _all_sources_python(g: Graph) -> tuple[dict[int, int], list[int]]:
-    # One BFS per source; pair (s, v) counted only when v > s.  A missing
-    # vertex always shows up in the s = 0 pass, so that one scan suffices.
-    counts: dict[int, int] = {}
+def _all_sources_masks(n: int, masks: list[int]) -> tuple[dict[int, int], list[int]]:
+    # One BFS per source over Python-int bitsets: bit v of masks[u] is the
+    # edge uv.  Each level is direction-optimizing (Beamer et al., SC 2012):
+    # top-down ORs the masks of the frontier's vertices, bottom-up keeps each
+    # unseen vertex whose mask meets the frontier, whichever set is smaller.
+    # Pair (s, v) is counted only when v > s; the last level is ecc(s).
+    full = (1 << n) - 1
+    counts = [0] * n
     ecc = []
-    for s in range(g.n):
-        dist = _bfs(g, s)
-        for v in range(s + 1, g.n):
-            d = dist[v]
-            if d < 0:
+    for s in range(n):
+        seen = frontier = 1 << s
+        k = 0
+        while seen != full:
+            unseen = full ^ seen
+            nxt = 0
+            if frontier.bit_count() <= unseen.bit_count():
+                t = frontier
+                while t:
+                    low = t & -t
+                    nxt |= masks[low.bit_length() - 1]
+                    t ^= low
+                nxt &= unseen
+            else:
+                t = unseen
+                while t:
+                    low = t & -t
+                    if masks[low.bit_length() - 1] & frontier:
+                        nxt |= low
+                    t ^= low
+            if not nxt:
                 raise DisconnectedGraphError("graph is not connected")
-            counts[d] = counts.get(d, 0) + 1
-        ecc.append(max(dist))
-    return counts, ecc
+            k += 1
+            counts[k] += (nxt >> (s + 1)).bit_count()
+            seen |= nxt
+            frontier = nxt
+        ecc.append(k)
+    return {k: c for k, c in enumerate(counts) if c}, ecc
 
 
 def _all_sources_bits(g: Graph) -> tuple[dict[int, int], list[int]]:
@@ -185,7 +210,11 @@ def _all_sources(g: Graph, engine: str = "auto") -> tuple[dict[int, int], list[i
     if engine == "auto":
         engine = "blocked" if g.n >= _BLOCKED_ENGINE_MIN_N else "python"
     if engine == "python":
-        return _all_sources_python(g)
+        masks = [0] * g.n
+        for u, v in g.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return _all_sources_masks(g.n, masks)
     if engine == "blocked":
         return _all_sources_bits(g)
     raise ValueError(f"unknown engine {engine!r}")

@@ -49,6 +49,11 @@ def nx_diameter(g: Graph) -> int:
     return nx.diameter(to_nx(g))
 
 
+def nx_eccentricities(g: Graph) -> list[int]:
+    ecc = nx.eccentricity(to_nx(g))
+    return [ecc[v] for v in range(g.n)]
+
+
 def minplus_wiener(g: Graph) -> int:
     """Cubic-time all-pairs distances by iterated min-plus relaxation."""
     n = g.n

@@ -18,12 +18,24 @@ from wienerbound.generators import (
     petersen,
     prism,
     random_connected,
+    random_connected_m,
     star,
 )
 from wienerbound.metrics import _all_sources
 from wienerbound.rng import SplitMix64
 
-from oracles import nx_diameter, nx_distribution, nx_wiener
+from oracles import nx_diameter, nx_distribution, nx_eccentricities, nx_wiener
+
+
+_DISCONNECTED = [
+    Graph(40, [(i, i + 1) for i in range(18)] + [(20 + i, 21 + i) for i in range(18)]),
+    Graph(5, [(0, 1), (1, 2), (2, 3)]),
+    # no isolated vertex; components 0..299 and 300..599 straddle the 512-source block edge
+    Graph(600, [(i, i + 1) for i in range(599) if i != 299]),
+    # the blocked engine's last levels gather only the rows of vertices still
+    # missing a source; the stray edge is never reached and must still be reported
+    Graph(1100, [(i, i + 1) for i in range(1097)] + [(1098, 1099)]),
+]
 
 
 class TestBfs:
@@ -76,26 +88,36 @@ class TestDistribution:
 
     def test_engines_agree(self):
         # 63/64/65 straddle a uint64 word, 513 spills into a second block
-        cases = [(150, seed) for seed in (0, 1, 2)]
-        cases += [(n, 3) for n in (1, 2, 63, 64, 65, 513)]
-        for n, seed in cases:
-            g = random_connected(n, 0.02, seed=seed)
+        graphs = [random_connected(150, 0.02, seed=seed) for seed in (0, 1, 2)]
+        graphs += [random_connected(n, 0.02, seed=3) for n in (1, 2, 63, 64, 65, 513)]
+        # dense graphs: past the first level the Python engine's levels run
+        # bottom-up, while K_n is found top-down in one level
+        graphs += [random_connected(n, p, seed=n) for n in (50, 63, 64, 65) for p in (0.5, 0.9, 1.0)]
+        # sparse graphs on both sides of the switch to the blocked engine
+        graphs += [random_connected_m(n, 2 * n, seed=7) for n in (1023, 1024)]
+        for g in graphs:
             a = distance_distribution(g, engine="python")
             b = distance_distribution(g, engine="blocked")
             assert dict(a.counts) == dict(b.counts)
-            assert _all_sources(g, "python") == _all_sources(g, "blocked")
+            counts, ecc = _all_sources(g, "python")
+            assert (counts, ecc) == _all_sources(g, "blocked")
+            if g.n <= 65:
+                assert counts == nx_distribution(g)
+                assert ecc == nx_eccentricities(g)
 
     def test_blocked_engine_detects_disconnection(self):
-        two_paths = Graph(40, [(i, i + 1) for i in range(18)] + [(20 + i, 21 + i) for i in range(18)])
-        isolated = Graph(5, [(0, 1), (1, 2), (2, 3)])
-        # no isolated vertex; components 0..299 and 300..599 straddle the 512-source block edge
-        split_blocks = Graph(600, [(i, i + 1) for i in range(599) if i != 299])
-        # the last levels gather only the rows of vertices still missing a
-        # source; the stray edge is never reached and must still be reported
-        stray_edge = Graph(1100, [(i, i + 1) for i in range(1097)] + [(1098, 1099)])
-        for g in (two_paths, isolated, split_blocks, stray_edge):
+        for g in _DISCONNECTED:
             with pytest.raises(DisconnectedGraphError):
                 distance_distribution(g, engine="blocked")
+
+    def test_python_engine_detects_disconnection(self):
+        # after one top-down level the frontier outnumbers the unseen
+        # vertices, so the level that finds nothing runs bottom-up
+        k30_isolated = Graph(31, complete(30).edges)
+        k20_edge = Graph(22, list(complete(20).edges) + [(20, 21)])
+        for g in [g for g in _DISCONNECTED if g.n < 1024] + [k30_isolated, k20_edge]:
+            with pytest.raises(DisconnectedGraphError):
+                distance_distribution(g, engine="python")
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError, match="engine"):
