@@ -3,28 +3,29 @@ diametral paths, and the on-path/off-path pair partition.
 
 Everything is exact integer arithmetic.  One pass over all sources yields both
 the distance distribution and the eccentricities, without materializing an
-n-by-n table: the Python engine runs one BFS per source over Python-int
-bitsets, one adjacency mask per vertex, and the blocked engine used for large
-graphs runs 512 sources at once as bits of uint64 words, keeping one block of
-frontiers alive.
+n-by-n table.  There is one engine for every order, in the standard library:
+a bit-parallel multi-source BFS with one Python int per vertex, whose bit j
+marks source j of the current block as reached.  A block holds up to
+``_ROW_BITS // n`` sources, so one list of rows holds at most 2^27 bits
+(16 MiB); at n = 10,000 every source fits in one block.  Each level costs
+Python work per vertex not yet reached by every source, so long diameters are
+the slow case: path(3000) takes about 13 s on 2 vCPUs, against 0.7 s for
+n = 10,000, m = 50,000.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Mapping
 
 from .errors import DisconnectedGraphError
 from .graph import Graph
 
-# From this order on, "auto" runs the bit-parallel engine.  On the n <= 50
-# graphs of ``verify --random`` the two engines take the same time per graph
-# (0.16-0.18 ms blocked, 0.18-0.20 ms bitset, 2 vCPUs), and at n = 512 the blocked one
-# is faster still; the switch stays here because importing numpy raises that
-# command's peak RSS from 17 MB to 30 MB, so small graphs must never import it.
-_BLOCKED_ENGINE_MIN_N = 1024
-_BLOCK_WORDS = 8  # sources per block of the bit-parallel engine, in uint64 words
+# Sources per block times n: one list of rows holds at most 16 MiB of bits.
+_ROW_BITS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -101,138 +102,67 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def _all_sources_masks(n: int, masks: list[int]) -> tuple[dict[int, int], list[int]]:
-    # One BFS per source over Python-int bitsets: bit v of masks[u] is the
-    # edge uv.  Each level is direction-optimizing (Beamer et al., SC 2012):
-    # top-down ORs the masks of the frontier's vertices, bottom-up keeps each
-    # unseen vertex whose mask meets the frontier, whichever set is smaller.
-    # Pair (s, v) is counted only when v > s; the last level is ecc(s).
-    full = (1 << n) - 1
-    counts = [0] * n
-    ecc = []
-    for s in range(n):
-        seen = frontier = 1 << s
-        k = 0
-        while seen != full:
-            unseen = full ^ seen
-            nxt = 0
-            if frontier.bit_count() <= unseen.bit_count():
-                t = frontier
-                while t:
-                    low = t & -t
-                    nxt |= masks[low.bit_length() - 1]
-                    t ^= low
-                nxt &= unseen
-            else:
-                t = unseen
-                while t:
-                    low = t & -t
-                    if masks[low.bit_length() - 1] & frontier:
-                        nxt |= low
-                    t ^= low
-            if not nxt:
-                raise DisconnectedGraphError("graph is not connected")
-            k += 1
-            counts[k] += (nxt >> (s + 1)).bit_count()
-            seen |= nxt
-            frontier = nxt
-        ecc.append(k)
-    return {k: c for k, c in enumerate(counts) if c}, ecc
-
-
-def _all_sources_bits(g: Graph) -> tuple[dict[int, int], list[int]]:
-    # Bit-parallel multi-source BFS (Then et al., PVLDB 8(4), 2014): bit j of
-    # word w in a vertex's row stands for source lo + 64*w + j of the block.
-    # Counts ordered pairs, halved at the end (always even by symmetry).
-    import numpy as np
-
-    n = g.n
-    if n == 1:
-        return {}, [0]
-    degree = np.fromiter(map(len, g.adj), dtype=np.intp, count=n)
-    # reduceat over an empty neighbour range would copy the next row instead
-    # of giving zero, so isolated vertices must be rejected up front.
-    if not degree.all():
-        raise DisconnectedGraphError("graph is not connected")
-    indices = np.fromiter((v for a in g.adj for v in a), dtype=np.intp, count=int(degree.sum()))
-    starts = np.concatenate(([0], np.cumsum(degree)[:-1]))
-    ordered: dict[int, int] = {}
-    ecc = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, 64 * _BLOCK_WORDS):
-        width = min(n - lo, 64 * _BLOCK_WORDS)
-        offset = np.arange(width)
-        seen = np.zeros((n, -(-width // 64)), dtype=np.uint64)
-        seen[lo + offset, offset // 64] = np.uint64(1) << (offset % 64).astype(np.uint64)
-        frontier = seen.copy()
-        # Sources of the block each vertex has not reached yet.  The block is
-        # done when none is left, without a last level that finds nothing.
-        missing = np.full(n, width, dtype=np.intp)
-        missing[lo:lo + width] -= 1
-        todo = np.flatnonzero(missing)
-        k = 0
-        while todo.size:
-            deg = degree[todo]
-            if 2 * int(deg.sum()) < len(indices):
-                # Few vertices still miss a source (the last level of most
-                # blocks): gather only their neighbours, so the level costs
-                # what it can find, not a pass over every edge.  They are
-                # picked by a mask of fixed size; index arrays whose length
-                # changed from level to level fragmented the heap and cost
-                # 8.7 MB of peak RSS in ``compute`` at n = 10,000, m = 50,000.
-                entries = np.repeat(missing > 0, degree)
-                first = np.cumsum(deg) - deg
-                nxt = np.zeros_like(seen)
-                nxt[todo] = np.bitwise_or.reduceat(frontier[indices[entries]], first, axis=0)
-            else:
-                nxt = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
-            nxt &= ~seen
-            found = np.bitwise_count(nxt).sum(axis=1, dtype=np.intp)
-            count = int(found.sum())
-            if count == 0:
-                raise DisconnectedGraphError("graph is not connected")
-            k += 1
-            ordered[k] = ordered.get(k, 0) + count
-            live = np.bitwise_or.reduce(nxt, axis=0).astype("<u8").view(np.uint8)
-            ecc[lo:lo + width][np.unpackbits(live, bitorder="little")[:width] == 1] = k
-            seen |= nxt
-            frontier = nxt
-            missing -= found
-            todo = np.flatnonzero(missing)
-    if any(c % 2 for c in ordered.values()):
-        raise AssertionError("ordered pair count must be even")
-    return {k: c // 2 for k, c in ordered.items()}, ecc.tolist()
-
-
-def _all_sources(g: Graph, engine: str = "auto") -> tuple[dict[int, int], list[int]]:
+def _all_sources(g: Graph) -> tuple[dict[int, int], list[int]]:
     """Pair counts per distance and per-vertex eccentricities, in one pass."""
-    if g.n < 1:
+    # Bit-parallel multi-source BFS (Then et al., PVLDB 8(4), 2014) on Python
+    # ints: bit j of seen[v] means source lo + j of the block has reached v.
+    # A level ORs each unfinished row with its neighbours' rows, so a row
+    # fills exactly at its vertex's eccentricity over the block's sources.
+    # Counts ordered pairs, halved at the end (always even by symmetry).
+    n = g.n
+    if n < 1:
         raise ValueError("distances require n >= 1")
-    if engine == "auto":
-        engine = "blocked" if g.n >= _BLOCKED_ENGINE_MIN_N else "python"
-    if engine == "python":
-        masks = [0] * g.n
-        for u, v in g.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return _all_sources_masks(g.n, masks)
-    if engine == "blocked":
-        return _all_sources_bits(g)
-    raise ValueError(f"unknown engine {engine!r}")
+    adj = g.adj
+    width = max(1, min(n, _ROW_BITS // n))
+    ordered = [0] * n
+    ecc = [0] * n
+    for lo in range(0, n, width):
+        hi = min(lo + width, n)
+        full = (1 << (hi - lo)) - 1
+        seen = [0] * n
+        seen[lo:hi] = [1 << j for j in range(hi - lo)]
+        todo = [v for v in range(n) if seen[v] != full]
+        k = 0
+        while todo:
+            k += 1
+            row = seen.__getitem__
+            nxt = seen.copy()
+            left = []
+            found = 0
+            for v in todo:
+                old = seen[v]
+                new = reduce(or_, map(row, adj[v]), old)
+                found += new.bit_count() - old.bit_count()
+                if new == full:
+                    nxt[v] = full
+                    if k > ecc[v]:
+                        ecc[v] = k
+                else:
+                    nxt[v] = new
+                    left.append(v)
+            if not found:
+                raise DisconnectedGraphError("graph is not connected")
+            ordered[k] += found
+            seen = nxt
+            todo = left
+    if any(c % 2 for c in ordered):
+        raise AssertionError("ordered pair count must be even")
+    return {k: c // 2 for k, c in enumerate(ordered) if c}, ecc
 
 
 def distance_distribution(g: Graph, engine: str = "auto") -> DistanceDistribution:
     """Exact pair counts per distance over all unordered pairs.
 
-    ``engine`` is "auto", "python", or "blocked"; auto picks the blocked
-    (bit-parallel numpy) engine for large graphs.  Both engines give
-    identical counts.
+    ``engine`` is "auto" or "python"; both run the one stdlib engine.
     """
-    return DistanceDistribution(n=g.n, counts=_all_sources(g, engine)[0])
+    if engine not in ("auto", "python"):
+        raise ValueError(f"unknown engine {engine!r}")
+    return DistanceDistribution(n=g.n, counts=_all_sources(g)[0])
 
 
-def wiener_index(g: Graph, engine: str = "auto") -> int:
+def wiener_index(g: Graph) -> int:
     """Sum of shortest-path distances over all unordered vertex pairs."""
-    return distance_distribution(g, engine=engine).wiener
+    return distance_distribution(g).wiener
 
 
 def eccentricities(g: Graph) -> list[int]:
@@ -240,9 +170,9 @@ def eccentricities(g: Graph) -> list[int]:
     return _all_sources(g)[1]
 
 
-def diameter(g: Graph, engine: str = "auto") -> int:
+def diameter(g: Graph) -> int:
     """Maximum pairwise distance; 0 for a single vertex."""
-    return distance_distribution(g, engine=engine).diameter
+    return distance_distribution(g).diameter
 
 
 def diametral_path(g: Graph) -> list[int]:

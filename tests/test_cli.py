@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from wienerbound.cli import main
-from wienerbound.generators import petersen, prism
+from wienerbound.generators import petersen, prism, random_connected_m
 from wienerbound.graph import Graph, parse_graph6, write_edge_list, write_graph6
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -75,7 +75,7 @@ class TestCompute:
         assert record["n"] == 2 and record["m"] == 0
 
     def test_large_disconnected_graph(self, capsys, tmp_path):
-        # two paths of 550 vertices, no isolated vertex: the blocked engine's
+        # two paths of 550 vertices, no isolated vertex: the distance pass's
         # level that finds nothing decides
         edges = [(i, i + 1) for i in range(1099) if i != 549]
         f = tmp_path / "two_paths.g6"
@@ -89,6 +89,23 @@ class TestCompute:
         assert record["n"] == 1100 and record["m"] == 1098
         assert record["d"] is record["wiener"] is record["bound"] is None
         assert record["applicable"] is False
+
+    def test_large_graph_never_imports_numpy(self, tmp_path):
+        # one stdlib distance engine serves every order
+        f = tmp_path / "large.g6"
+        f.write_text(write_graph6(random_connected_m(1100, 5500, seed=5)) + "\n")
+        code = (
+            "import sys; from wienerbound import cli; "
+            f"rc = cli.main(['compute', '--json', {str(f)!r}]); "
+            "assert rc == 0, rc; assert 'numpy' not in sys.modules, 'numpy imported'"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["n"] == 1100 and record["m"] == 5500
 
     def test_empty_graph(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("?\n"))
@@ -238,8 +255,7 @@ class TestVerify:
         assert "no violations" in out
 
     def test_small_graphs_never_import_numpy(self):
-        # numpy adds ~13 MB of peak RSS to a sweep of small graphs; the engine
-        # switch at n >= 1024 exists to keep it out.
+        # numpy would add ~13 MB of peak RSS to a sweep of small graphs
         code = (
             "import sys; from wienerbound import cli; "
             "rc = cli.main(['verify', '--random', '50', '--order', '50', '--json']); "

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from wienerbound import (
@@ -21,6 +23,7 @@ from wienerbound.generators import (
     random_connected_m,
     star,
 )
+from wienerbound import metrics
 from wienerbound.metrics import _all_sources
 from wienerbound.rng import SplitMix64
 
@@ -30,12 +33,21 @@ from oracles import nx_diameter, nx_distribution, nx_eccentricities, nx_wiener
 _DISCONNECTED = [
     Graph(40, [(i, i + 1) for i in range(18)] + [(20 + i, 21 + i) for i in range(18)]),
     Graph(5, [(0, 1), (1, 2), (2, 3)]),
-    # no isolated vertex; components 0..299 and 300..599 straddle the 512-source block edge
+    # no isolated vertex; components 0..299 and 300..599 straddle block edges
+    # once blocks are narrower than the graph
     Graph(600, [(i, i + 1) for i in range(599) if i != 299]),
-    # the blocked engine's last levels gather only the rows of vertices still
-    # missing a source; the stray edge is never reached and must still be reported
+    # the stray edge is never reached from the long path and must still be reported
     Graph(1100, [(i, i + 1) for i in range(1097)] + [(1098, 1099)]),
 ]
+
+# 63/64/65 straddle a 64-bit word of a row
+_AGREEMENT_GRAPHS = (
+    [random_connected(150, 0.02, seed=seed) for seed in (0, 1, 2)]
+    + [random_connected(n, 0.02, seed=3) for n in (1, 2, 63, 64, 65, 513)]
+    # dense graphs, K_n among them, whose rows fill in one or two levels
+    + [random_connected(n, p, seed=n) for n in (50, 63, 64, 65) for p in (0.5, 0.9, 1.0)]
+    + [random_connected_m(n, 2 * n, seed=7) for n in (1023, 1024)]
+)
 
 
 class TestBfs:
@@ -87,39 +99,55 @@ class TestDistribution:
             assert dict(distance_distribution(g).counts) == nx_distribution(g)
 
     def test_engines_agree(self):
-        # 63/64/65 straddle a uint64 word, 513 spills into a second block
-        graphs = [random_connected(150, 0.02, seed=seed) for seed in (0, 1, 2)]
-        graphs += [random_connected(n, 0.02, seed=3) for n in (1, 2, 63, 64, 65, 513)]
-        # dense graphs: past the first level the Python engine's levels run
-        # bottom-up, while K_n is found top-down in one level
-        graphs += [random_connected(n, p, seed=n) for n in (50, 63, 64, 65) for p in (0.5, 0.9, 1.0)]
-        # sparse graphs on both sides of the switch to the blocked engine
-        graphs += [random_connected_m(n, 2 * n, seed=7) for n in (1023, 1024)]
-        for g in graphs:
-            a = distance_distribution(g, engine="python")
-            b = distance_distribution(g, engine="blocked")
-            assert dict(a.counts) == dict(b.counts)
-            counts, ecc = _all_sources(g, "python")
-            assert (counts, ecc) == _all_sources(g, "blocked")
-            if g.n <= 65:
-                assert counts == nx_distribution(g)
-                assert ecc == nx_eccentricities(g)
+        # the one engine against networkx, on orders from 1 to 1,024
+        for g in _AGREEMENT_GRAPHS:
+            counts, ecc = _all_sources(g)
+            expected = nx_distribution(g)
+            assert counts == expected
+            assert dict(distance_distribution(g).counts) == expected
+            assert ecc == nx_eccentricities(g)
 
-    def test_blocked_engine_detects_disconnection(self):
-        for g in _DISCONNECTED:
+    def test_block_widths(self, monkeypatch):
+        # sources per block: one bit, a word less one, a word, a word plus one
+        graphs = [g for g in _AGREEMENT_GRAPHS if 2 <= g.n <= 65 or g.n == 513]
+        expected = [(nx_distribution(g), nx_eccentricities(g)) for g in graphs]
+        split = _DISCONNECTED[2]  # two paths of 300 vertices
+        for width in (1, 63, 64, 65):
+            for g, want in zip(graphs, expected):
+                monkeypatch.setattr(metrics, "_ROW_BITS", width * g.n)
+                assert _all_sources(g) == want
+            monkeypatch.setattr(metrics, "_ROW_BITS", width * split.n)
             with pytest.raises(DisconnectedGraphError):
-                distance_distribution(g, engine="blocked")
+                _all_sources(split)
 
-    def test_python_engine_detects_disconnection(self):
-        # after one top-down level the frontier outnumbers the unseen
-        # vertices, so the level that finds nothing runs bottom-up
+    def test_row_bits_bound_memory(self, monkeypatch):
+        # the block width, not n alone, sets the size of the rows held at once
+        g = random_connected_m(600, 1800, seed=11)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                _all_sources(g)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = peak()
+        monkeypatch.setattr(metrics, "_ROW_BITS", 128 * g.n)
+        assert peak() < 0.75 * one_block
+
+    def test_detects_disconnection(self):
+        # a clique with an isolated vertex or a separate edge: every vertex of
+        # the big component fills early, and only the stray part is left
         k30_isolated = Graph(31, complete(30).edges)
         k20_edge = Graph(22, list(complete(20).edges) + [(20, 21)])
-        for g in [g for g in _DISCONNECTED if g.n < 1024] + [k30_isolated, k20_edge]:
+        for g in _DISCONNECTED + [k30_isolated, k20_edge]:
             with pytest.raises(DisconnectedGraphError):
-                distance_distribution(g, engine="python")
+                distance_distribution(g)
 
     def test_unknown_engine(self):
+        for engine in ("auto", "python"):
+            assert distance_distribution(path(3), engine=engine).counts == {1: 2, 2: 1}
         with pytest.raises(ValueError, match="engine"):
             distance_distribution(path(3), engine="magic")
 
@@ -194,7 +222,7 @@ class TestDiameter:
         g = path(5)
         assert eccentricities(g) == [4, 3, 2, 3, 4]
         assert max(eccentricities(petersen())) == 2
-        # n >= 1024: "auto" runs the bit-parallel engine
+        # long diameters: one level per distance, the engine's slow case
         assert eccentricities(path(1100)) == [max(i, 1099 - i) for i in range(1100)]
         assert set(eccentricities(cycle(1030))) == {515}
 
