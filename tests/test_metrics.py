@@ -136,14 +136,22 @@ class TestDistribution:
         monkeypatch.setattr(metrics, "_ROW_BITS", 128 * g.n)
         assert peak() < 0.75 * one_block
 
-    def test_detects_disconnection(self):
-        # a clique with an isolated vertex or a separate edge: every vertex of
-        # the big component fills early, and only the stray part is left
+    def test_blocked_engine_detects_disconnection(self):
+        # the sources run in blocks; the 600-vertex graph splits across them
+        # once blocks are narrower than the graph (see test_block_widths)
+        for g in _DISCONNECTED:
+            with pytest.raises(DisconnectedGraphError):
+                distance_distribution(g)
+
+    def test_python_engine_detects_disconnection(self):
+        # engine="python" names the same kernel; on a clique with an isolated
+        # vertex or a separate edge every vertex of the big component fills
+        # early, and only the stray part is left
         k30_isolated = Graph(31, complete(30).edges)
         k20_edge = Graph(22, list(complete(20).edges) + [(20, 21)])
         for g in _DISCONNECTED + [k30_isolated, k20_edge]:
             with pytest.raises(DisconnectedGraphError):
-                distance_distribution(g)
+                distance_distribution(g, engine="python")
 
     def test_unknown_engine(self):
         for engine in ("auto", "python"):
