@@ -152,11 +152,9 @@ def _print_summary(summary: SweepSummary, as_json: bool) -> None:
     if as_json:
         sys.stdout.write(json.dumps(summary.to_dict()) + "\n")
         return
-    d = summary.to_dict()
-    for key in ("graphs_checked", "applicable", "violations", "tight_count",
-                "min_gap", "max_gap", "skipped_disconnected",
-                "skipped_inapplicable", "parse_errors"):
-        sys.stdout.write(f"{key:<22} {_cell(d[key])}\n")
+    for key, value in summary.to_dict().items():
+        if key != "tight_examples":
+            sys.stdout.write(f"{key:<22} {_cell(value)}\n")
     if summary.tight_examples:
         shown = ", ".join(summary.tight_examples[:8])
         more = len(summary.tight_examples) - 8

@@ -49,8 +49,9 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     if g.n == 0 or h.n == 0:
         raise ValueError("cartesian product requires nonempty factors")
     edges = []
+    h_edges = h.edges
     for a in range(g.n):
-        for u, v in h.edges:
+        for u, v in h_edges:
             edges.append((a * h.n + u, a * h.n + v))
     for u, v in g.edges:
         for b in range(h.n):
@@ -114,10 +115,7 @@ def random_connected(n: int, extra_edge_probability: float, seed: int) -> Graph:
         raise ValueError("extra edge probability must be in [0, 1]")
     root = SplitMix64(seed)
     tree_rng = root.split()
-    edges = {
-        (u, v) if u < v else (v, u)
-        for u, v in _random_tree_edges(n, tree_rng)
-    }
+    edges = _random_tree_edges(n, tree_rng)
     # One draw per pair, so the stream layout is independent of the tree.
     # This is ``root.split().chance(p)`` per pair with the splitmix64 step
     # written out: the split stream's state is the root's next output.
@@ -128,7 +126,7 @@ def random_connected(n: int, extra_edge_probability: float, seed: int) -> Graph:
         z = ((state ^ (state >> 30)) * _MIX_A) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
         if z ^ (z >> 31) < threshold:
-            edges.add(pair)
+            edges.append(pair)
     return Graph(n, edges)
 
 

@@ -1,9 +1,10 @@
 """Immutable simple undirected graphs plus graph6 and edge-list text I/O.
 
-Vertices are dense 0-based integers.  Edges are unordered pairs held as a
-frozenset of ``(u, v)`` tuples with ``u < v``; duplicate input edges collapse
-silently and self-loops are rejected.  Disconnected graphs are constructible,
-but every distance operation elsewhere in the package refuses them.
+Vertices are dense 0-based integers.  A graph stores only its sorted
+neighbour tuples; the edge set of ``(u, v)`` pairs with ``u < v`` is derived
+from them on request.  Duplicate input edges collapse silently and self-loops
+are rejected.  Disconnected graphs are constructible, but every distance
+operation elsewhere in the package refuses them.
 """
 
 from __future__ import annotations
@@ -27,32 +28,29 @@ _G6_PREFIX = ">>graph6<<"
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``, immutable once built."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "m", "adj")
 
     def __init__(self, n: int, pairs: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        edges = set()
+        neighbors: list[set[int]] = [set() for _ in range(n)]
         for u, v in pairs:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n) or not (0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            edges.add((u, v) if u < v else (v, u))
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
+            neighbors[u].add(v)
+            neighbors[v].add(u)
         self.n: int = n
-        self.edges: frozenset[Edge] = frozenset(edges)
         self.adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(a)) for a in neighbors
         )
+        self.m: int = sum(map(len, self.adj)) // 2
 
     @property
-    def m(self) -> int:
-        """Number of edges."""
-        return len(self.edges)
+    def edges(self) -> frozenset[Edge]:
+        """Edges as ``(u, v)`` pairs with ``u < v``."""
+        return frozenset(_sorted_edges(self))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -64,18 +62,42 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _sorted_edges(g: Graph) -> Iterator[Edge]:
+    # (u, v) with u < v in lexicographic order, straight from the sorted adj
+    for u, a in enumerate(g.adj):
+        for v in a:
+            if v > u:
+                yield u, v
+
+
 def from_edge_list(n: int, pairs: Iterable[Edge]) -> Graph:
     """Build a Graph from ``(u, v)`` pairs, deduplicating and normalizing."""
     return Graph(n, pairs)
+
+
+def _bfs(g: Graph, source: int) -> list[int]:
+    """Distances from source; -1 marks unreachable vertices."""
+    dist = [-1] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    adj = g.adj
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                queue.append(v)
+    return dist
 
 
 def is_connected(g: Graph) -> bool:
@@ -86,21 +108,7 @@ def is_connected(g: Graph) -> bool:
     """
     if g.n == 0:
         raise ValueError("connectivity is undefined for the empty graph")
-    if g.n == 1:
-        return True
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    adj = g.adj
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                queue.append(v)
-    return count == g.n
+    return min(_bfs(g, 0)) >= 0
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +128,10 @@ _G6_SET_BITS = tuple(
 _G6_ENCODE = _G6_ALPHABET + bytes(256 - 64)
 
 
-def _pair_index(u: int, v: int) -> int:
-    # column-major bit position of pair (u, v), u < v:
-    # (0,1),(0,2),(1,2),(0,3),(1,3),(2,3),...
-    return v * (v - 1) // 2 + u
-
-
 def _pair_at(i: int) -> Edge:
-    # inverse of _pair_index: v is the largest column with v(v-1)/2 <= i
+    # pair (u, v), u < v, at column-major bit position i = v(v-1)/2 + u:
+    # (0,1),(0,2),(1,2),(0,3),(1,3),(2,3),...
+    # v is the largest column with v(v-1)/2 <= i
     v = (1 + isqrt(8 * i + 1)) // 2
     return (i - v * (v - 1) // 2, v)
 
@@ -164,31 +168,29 @@ def parse_graph6(text: str) -> Graph:
     headers, bytes outside 63..126, wrong data length, and nonzero padding
     bits.
     """
-    line = text.strip()
-    if line.startswith(_G6_PREFIX):
-        line = line[len(_G6_PREFIX):]
+    # The data bytes are read in place after the header: a line can be megabytes.
     try:
-        raw = line.encode("ascii")
+        raw = text.strip().removeprefix(_G6_PREFIX).encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6ParseError("graph6 input is not ASCII") from exc
     n, offset = _parse_order(raw)
-    body = raw[offset:]
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(body) != nbytes:
+    if len(raw) - offset != nbytes:
         raise Graph6ParseError(
-            f"expected {nbytes} data bytes for n={n}, got {len(body)}"
+            f"expected {nbytes} data bytes for n={n}, got {len(raw) - offset}"
         )
-    if body.translate(None, _G6_ALPHABET):
-        for b in body:
+    # the header bytes passed _parse_order, so this checks the data bytes
+    if raw.translate(None, _G6_ALPHABET):
+        for b in raw[offset:]:
             if not 63 <= b <= 126:
                 raise Graph6ParseError(f"data byte {b} outside 63..126")
     padding = 6 * nbytes - nbits
-    if padding and (body[-1] - 63) & ((1 << padding) - 1):
+    if padding and (raw[-1] - 63) & ((1 << padding) - 1):
         raise Graph6ParseError("nonzero padding bits")
     edges = [
-        _pair_at(6 * match.start() + j)
-        for match in _G6_NONZERO.finditer(body)
+        _pair_at(6 * (match.start() - offset) + j)
+        for match in _G6_NONZERO.finditer(raw, offset)
         for j in _G6_SET_BITS[ord(match[0]) - 63]
     ]
     return Graph(n, edges)
@@ -225,8 +227,8 @@ def write_graph6(g: Graph) -> str:
         )
     nbits = n * (n - 1) // 2
     groups = bytearray((nbits + 5) // 6)
-    for u, v in g.edges:
-        idx = _pair_index(u, v)
+    for u, v in _sorted_edges(g):
+        idx = v * (v - 1) // 2 + u
         groups[idx // 6] |= 1 << (5 - idx % 6)
     return (header + groups.translate(_G6_ENCODE)).decode("ascii")
 
@@ -274,5 +276,5 @@ def parse_edge_list(text: str) -> Graph:
 def write_edge_list(g: Graph) -> str:
     """Render the edge-list text form with edges in sorted order."""
     out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    out.extend(f"{u} {v}" for u, v in _sorted_edges(g))
     return "\n".join(out) + "\n"

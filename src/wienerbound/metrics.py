@@ -15,14 +15,13 @@ n = 10,000, m = 50,000.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Mapping
 
 from .errors import DisconnectedGraphError
-from .graph import Graph
+from .graph import Graph, _bfs
 
 # Sources per block times n: one list of rows holds at most 16 MiB of bits.
 _ROW_BITS = 1 << 27
@@ -71,22 +70,6 @@ class DiametralPartition:
     @property
     def total_pairs(self) -> int:
         return self.on_path_pairs + self.off_path_pairs + self.mixed_pairs
-
-
-def _bfs(g: Graph, source: int) -> list[int]:
-    """Distances from source; -1 marks unreachable vertices."""
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    adj = g.adj
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(v)
-    return dist
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:

@@ -9,15 +9,15 @@ runs and single-threaded runs produce identical results.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable
 
 from . import generators
 from .bounds import BoundReport, bound_report, evaluate, wiener_lower_bound
 from .errors import DisconnectedGraphError, NotApplicableError
-from .graph import Graph, read_graph6, write_graph6
-from .metrics import _bfs, diametral_path
+from .graph import Graph, _bfs, read_graph6, write_graph6
+from .metrics import diametral_path
 from .rng import stream
 
 DEFAULT_TIGHT_EXAMPLE_CAP = 100
@@ -87,19 +87,8 @@ class SweepSummary:
         self.parse_errors += other.parse_errors
 
     def to_dict(self) -> dict:
-        """JSON-ready mapping with a stable field order."""
-        return {
-            "graphs_checked": self.graphs_checked,
-            "applicable": self.applicable,
-            "violations": self.violations,
-            "tight_count": self.tight_count,
-            "min_gap": self.min_gap,
-            "max_gap": self.max_gap,
-            "tight_examples": list(self.tight_examples),
-            "skipped_disconnected": self.skipped_disconnected,
-            "skipped_inapplicable": self.skipped_inapplicable,
-            "parse_errors": self.parse_errors,
-        }
+        """JSON-ready mapping in field order."""
+        return asdict(self)
 
 
 def resolve_workers(workers: int | None = None) -> int:

@@ -107,6 +107,17 @@ class TestCompute:
         record = json.loads(proc.stdout)
         assert record["n"] == 1100 and record["m"] == 5500
 
+    def test_bad_edge_list_exits_2(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("3 2\n0 1\n1 2 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wienerbound", "compute", str(f), "--format", "edgelist"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: line 3: edge line must be 'u v'\n"
+
     def test_empty_graph(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("?\n"))
         code, _, err = run_cli(["compute"], capsys)

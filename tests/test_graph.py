@@ -1,6 +1,8 @@
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -37,6 +39,20 @@ def graphs(draw, max_order=130):
         lambda p: (p[0], (p[0] + p[1]) % n)
     )
     return Graph(n, draw(st.lists(pair, max_size=3 * n)))
+
+
+@st.composite
+def pair_lists(draw, max_order=40):
+    # vertex pairs with duplicates, plus a drawn prefix again in reverse
+    n = draw(st.integers(0, max_order))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda p: (p[0], (p[0] + p[1]) % n)
+    )
+    pairs = draw(st.lists(pair, max_size=3 * n))
+    reversed_prefix = draw(st.integers(0, len(pairs)))
+    return n, pairs + [(v, u) for u, v in pairs[:reversed_prefix]]
 
 
 class TestConstruction:
@@ -76,6 +92,18 @@ class TestConstruction:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             Graph(-1)
+
+    def test_keeps_only_adjacency(self):
+        # the sorted neighbour tuples are the graph's one stored form
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = random_connected_m(2000, 10_000, seed=1)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert g.m == 10_000
+        assert kept < 1 << 20, f"graph keeps {kept} bytes"
 
     def test_empty_graph_constructible(self):
         assert Graph(0).n == 0
@@ -283,6 +311,29 @@ class TestEdgeListText:
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):
             parse_edge_list("\n\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 x\n", "line 1: header must be two integers"),
+        ("3 -1\n", "line 1: negative edge count"),
+        ("3 1\n0 1 2\n", "line 2: edge line must be 'u v'"),
+        ("3 1\n0 3\n", "edge (0, 3) out of range for n=3"),
+        ("-1 0\n", "vertex count must be nonnegative, got -1"),
+    ], ids=["non-integer-header", "negative-m", "three-fields", "out-of-range", "negative-n"])
+    def test_malformed_rejected(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_edge_list(text)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(pair_lists())
+    def test_round_trip_property(self, case):
+        n, pairs = case
+        g = Graph(n, pairs)
+        distinct = {(u, v) if u < v else (v, u) for u, v in pairs}
+        assert g.m == len(distinct)
+        assert g.edges == distinct
+        back = parse_edge_list(write_edge_list(g))
+        assert back == g and hash(back) == hash(g)
+        assert repr(back) == f"Graph(n={n}, m={len(distinct)})"
 
 
 class TestConnectivity:
