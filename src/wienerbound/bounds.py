@@ -23,17 +23,18 @@ class BoundReport:
     """Wiener index versus the lower bound for one graph.
 
     ``bound``, ``gap`` and ``tight`` are None when the bound does not apply
-    (diameter < 2, i.e. complete or trivial graphs).
+    (diameter < 2, i.e. complete or trivial graphs).  The field order is the
+    order of the command line's output record.
     """
 
     n: int
     m: int
     d: int
     wiener: int
-    applicable: bool
     bound: int | None
     gap: int | None
     tight: bool | None
+    applicable: bool
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,13 @@ def bound_report(n: int, m: int, d: int, wiener: int) -> BoundReport:
     if d < 2:
         return BoundReport(
             n=n, m=m, d=d, wiener=wiener,
-            applicable=False, bound=None, gap=None, tight=None,
+            bound=None, gap=None, tight=None, applicable=False,
         )
     bound = wiener_lower_bound(n, m, d)
     gap = wiener - bound
     return BoundReport(
         n=n, m=m, d=d, wiener=wiener,
-        applicable=True, bound=bound, gap=gap, tight=gap == 0,
+        bound=bound, gap=gap, tight=gap == 0, applicable=True,
     )
 
 

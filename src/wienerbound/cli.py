@@ -12,10 +12,12 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import asdict, fields
 from typing import Iterable, Iterator, TextIO
 
 from . import generators
 from .bounds import (
+    BoundReport,
     diameter_floor,
     evaluate,
     off_path_vertex_excess,
@@ -34,7 +36,16 @@ from .verifier import (
     stream_sweep,
 )
 
-_RECORD_FIELDS = ("graph6", "n", "m", "d", "wiener", "bound", "gap", "tight", "applicable")
+_RECORD_FIELDS = ("graph6", *(f.name for f in fields(BoundReport)))
+# table columns: (record key, format spec)
+_RECORD_COLUMNS = (
+    ("graph6", "<16"), ("n", ">6"), ("m", ">8"), ("d", ">4"),
+    ("wiener", ">12"), ("bound", ">12"), ("gap", ">8"), ("tight", ">5"),
+)
+_SHARPNESS_COLUMNS = (
+    ("label", "<14"), ("n", ">4"), ("m", ">5"), ("d", ">3"),
+    ("wiener", ">9"), ("bound", ">9"), ("gap", ">6"), ("tight", ">5"),
+)
 
 
 def _open_input(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
@@ -61,10 +72,7 @@ def _graph_record(g: Graph, allow_disconnected: bool) -> dict:
                 "input graph is disconnected (use --allow-disconnected to report it)"
             )
         return record
-    record.update(
-        d=report.d, wiener=report.wiener, bound=report.bound,
-        gap=report.gap, tight=report.tight, applicable=report.applicable,
-    )
+    record.update(asdict(report))
     return record
 
 
@@ -78,21 +86,25 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _print_record_rows(records: Iterable[dict], out: TextIO) -> None:
+def _write_json(obj: object) -> None:
+    # two writes: a graph6 field can be megabytes, so no joined copy
+    sys.stdout.write(json.dumps(obj))
+    sys.stdout.write("\n")
+
+
+def _write_rows(
+    rows: Iterable[dict], as_json: bool, columns: tuple[tuple[str, str], ...]
+) -> None:
+    """One JSON object per row, or a table whose header comes with the first row."""
     header = False
-    for record in records:
+    for row in rows:
+        if as_json:
+            _write_json(row)
+            continue
         if not header:
-            out.write(
-                f"{'graph6':<16} {'n':>6} {'m':>8} {'d':>4} "
-                f"{'wiener':>12} {'bound':>12} {'gap':>8} {'tight':>5}\n"
-            )
+            sys.stdout.write(" ".join(f"{key:{spec}}" for key, spec in columns) + "\n")
             header = True
-        out.write(
-            f"{record['graph6']:<16} {record['n']:>6} {record['m']:>8} "
-            f"{_cell(record['d']):>4} {_cell(record['wiener']):>12} "
-            f"{_cell(record['bound']):>12} {_cell(record['gap']):>8} "
-            f"{_cell(record['tight']):>5}\n"
-        )
+        sys.stdout.write(" ".join(f"{_cell(row[key]):{spec}}" for key, spec in columns) + "\n")
 
 
 def _iter_compute_graphs(args: argparse.Namespace) -> Iterator[Graph]:
@@ -104,17 +116,8 @@ def _iter_compute_graphs(args: argparse.Namespace) -> Iterator[Graph]:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    def records() -> Iterator[dict]:
-        for g in _iter_compute_graphs(args):
-            yield _graph_record(g, args.allow_disconnected)
-
-    if args.json:
-        for record in records():
-            # two writes: the graph6 field can be megabytes, so no joined copy
-            sys.stdout.write(json.dumps(record))
-            sys.stdout.write("\n")
-    else:
-        _print_record_rows(records(), sys.stdout)
+    records = (_graph_record(g, args.allow_disconnected) for g in _iter_compute_graphs(args))
+    _write_rows(records, args.json, _RECORD_COLUMNS)
     return 0
 
 
@@ -140,7 +143,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         )
     if args.json:
         via["bound"] = value
-        sys.stdout.write(json.dumps(via) + "\n")
+        _write_json(via)
     elif args.trace:
         sys.stdout.write(f"bound                   = {value}\n")
     else:
@@ -150,7 +153,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _print_summary(summary: SweepSummary, as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(summary.to_dict()) + "\n")
+        _write_json(summary.to_dict())
         return
     for key, value in summary.to_dict().items():
         if key != "tight_examples":
@@ -185,20 +188,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError(f"family {family!r} needs a size argument")
     if not needs_size and args.size is not None:
         raise ValueError(f"family {family!r} takes no size argument")
-    if family == "path":
-        g = generators.path(args.size)
-    elif family == "cycle":
-        g = generators.cycle(args.size)
-    elif family == "star":
-        g = generators.star(args.size)
-    elif family == "complete":
-        g = generators.complete(args.size)
-    elif family == "prism":
-        g = generators.prism()
-    elif family == "petersen":
-        g = generators.petersen()
-    else:
+    if family == "random":
         g = generators.random_connected(args.size, args.p, args.seed)
+    else:  # a family name is the name of its generator
+        make = getattr(generators, family)
+        g = make(args.size) if needs_size else make()
     if args.emit == "g6":
         sys.stdout.write(write_graph6(g) + "\n")
     else:
@@ -213,42 +207,23 @@ def _parse_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
-    if args.scan_mode == "sharpness":
-        start = stop = None
-        if args.range is not None:
-            start, stop = _parse_range(args.range)
-        records = sharpness_scan(args.family, start=start, stop=stop)
-        if args.json:
-            for rec in records:
-                r = rec.report
-                sys.stdout.write(json.dumps({
-                    "label": rec.label, "graph6": rec.graph6,
-                    "n": r.n, "m": r.m, "d": r.d, "wiener": r.wiener,
-                    "bound": r.bound, "gap": r.gap, "tight": r.tight,
-                }) + "\n")
-        else:
-            sys.stdout.write(f"{'label':<14} {'n':>4} {'m':>5} {'d':>3} "
-                             f"{'wiener':>9} {'bound':>9} {'gap':>6} {'tight':>5}\n")
-            for rec in records:
-                r = rec.report
-                sys.stdout.write(
-                    f"{rec.label:<14} {r.n:>4} {r.m:>5} {r.d:>3} {r.wiener:>9} "
-                    f"{_cell(r.bound):>9} {_cell(r.gap):>6} {_cell(r.tight):>5}\n"
-                )
-        violations = sum(
-            1 for rec in records
-            if rec.report.gap is not None and rec.report.gap < 0
-        )
-        return 1 if violations else 0
+def _cmd_sharpness(args: argparse.Namespace) -> int:
+    start = stop = None
+    if args.range is not None:
+        start, stop = _parse_range(args.range)
+    rows = []
+    for rec in sharpness_scan(args.family, start=start, stop=stop):
+        row = {"label": rec.label, "graph6": rec.graph6, **asdict(rec.report)}
+        del row["applicable"]  # every witness has d >= 2
+        rows.append(row)
+    _write_rows(rows, args.json, _SHARPNESS_COLUMNS)
+    return 1 if any(row["gap"] is not None and row["gap"] < 0 for row in rows) else 0
+
+
+def _cmd_monotonicity(args: argparse.Namespace) -> int:
     report = monotonicity_scan(args.n, args.m)
     if args.json:
-        sys.stdout.write(json.dumps({
-            "n": report.n, "m": report.m, "d_start": 2,
-            "values": list(report.values),
-            "non_decreasing": report.non_decreasing,
-            "first_decrease_d": report.first_decrease_d,
-        }) + "\n")
+        _write_json({"n": report.n, "m": report.m, "d_start": 2, **asdict(report)})
     else:
         sys.stdout.write(f"bound over d=2..{report.n - 1} for n={report.n}, m={report.m}:\n")
         sys.stdout.write("  " + ", ".join(str(v) for v in report.values) + "\n")
@@ -326,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sharp.add_argument("--range", default=None, metavar="A:B",
                          help="parameter range for path/star (inclusive)")
     p_sharp.add_argument("--json", action="store_true")
-    p_sharp.set_defaults(handler=_cmd_scan)
+    p_sharp.set_defaults(handler=_cmd_sharpness)
     p_mono = scan_sub.add_parser("monotonicity",
                                  help="bound values across feasible diameters")
     p_mono.add_argument("--n", type=int, required=True)
     p_mono.add_argument("--m", type=int, required=True)
     p_mono.add_argument("--json", action="store_true")
-    p_mono.set_defaults(handler=_cmd_scan)
+    p_mono.set_defaults(handler=_cmd_monotonicity)
 
     return parser
 

@@ -202,7 +202,11 @@ def read_graph6(lines: Iterable[str], skip_bad: bool = False) -> Iterator[Graph 
     A malformed line raises Graph6ParseError prefixed with its line number
     (blank lines count), or yields None when ``skip_bad`` is set.
     """
-    for lineno, line in enumerate(lines, start=1):
+    # No enumerate: its reused result tuple, like the loop variable, would keep
+    # a megabyte line alive while the caller works on the yielded graph.
+    lineno = 0
+    for line in lines:
+        lineno += 1
         if not line.strip():
             continue
         try:
@@ -211,6 +215,7 @@ def read_graph6(lines: Iterable[str], skip_bad: bool = False) -> Iterator[Graph 
             if not skip_bad:
                 raise Graph6ParseError(f"line {lineno}: {exc}") from exc
             g = None
+        del line
         yield g
 
 
@@ -254,11 +259,14 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ValueError(f"line {lineno}: header must be two integers") from exc
+    if n < 0:
+        raise ValueError(f"line {lineno}: vertex count must be nonnegative, got {n}")
     if m < 0:
         raise ValueError(f"line {lineno}: negative edge count")
     if len(rows) - 1 != m:
         raise ValueError(f"header declares {m} edges but {len(rows) - 1} lines follow")
     pairs = []
+    # Graph's own checks, made here so that each error names its line
     for lineno, parts in rows[1:]:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: edge line must be 'u v'")
@@ -266,11 +274,12 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: edge line must be two integers") from exc
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at vertex {u}")
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise ValueError(f"line {lineno}: edge ({u}, {v}) out of range for n={n}")
         pairs.append((u, v))
-    try:
-        return Graph(n, pairs)
-    except ValueError as exc:
-        raise ValueError(f"invalid edge list: {exc}") from exc
+    return Graph(n, pairs)
 
 
 def write_edge_list(g: Graph) -> str:

@@ -23,7 +23,13 @@ from .rng import stream
 DEFAULT_TIGHT_EXAMPLE_CAP = 100
 _EXHAUSTIVE_MAX_N = 7
 
+# A family name is the name of its generator in ``generators``.
 SHARPNESS_FAMILIES = ("path", "star", "prism", "petersen")
+# default (first, last) parameter of a ranged family, and why it starts there
+_SCAN_RANGES = {
+    "path": (3, 12, "path sharpness needs n >= 3 (diameter >= 2)"),
+    "star": (2, 11, "star sharpness needs m >= 2 leaves (diameter 2)"),
+}
 
 
 @dataclass
@@ -273,25 +279,23 @@ def sharpness_scan(
 
     ``path`` ranges over vertex counts (default 3..12), ``star`` over leaf
     counts (default 2..11); ``prism`` and ``petersen`` are single graphs.
-    Every instance is expected tight; the caller inspects the flags.
+    A range whose first value exceeds its last is an error.  Every instance
+    is expected tight; the caller inspects the flags.
     """
     if family not in SHARPNESS_FAMILIES:
         raise ValueError(f"unknown family {family!r}; pick one of {SHARPNESS_FAMILIES}")
-    instances: list[tuple[str, Graph]] = []
-    if family == "path":
-        lo, hi = (3 if start is None else start), (12 if stop is None else stop)
-        if lo < 3:
-            raise ValueError("path sharpness needs n >= 3 (diameter >= 2)")
-        instances = [(f"path({n})", generators.path(n)) for n in range(lo, hi + 1)]
-    elif family == "star":
-        lo, hi = (2 if start is None else start), (11 if stop is None else stop)
-        if lo < 2:
-            raise ValueError("star sharpness needs m >= 2 leaves (diameter 2)")
-        instances = [(f"star({m})", generators.star(m)) for m in range(lo, hi + 1)]
-    elif family == "prism":
-        instances = [("prism", generators.prism())]
+    make = getattr(generators, family)
+    if family in _SCAN_RANGES:
+        first, last, too_small = _SCAN_RANGES[family]
+        lo = first if start is None else start
+        hi = last if stop is None else stop
+        if lo < first:
+            raise ValueError(too_small)
+        if lo > hi:
+            raise ValueError(f"empty {family} range {lo}:{hi}")
+        instances = [(f"{family}({k})", make(k)) for k in range(lo, hi + 1)]
     else:
-        instances = [("petersen", generators.petersen())]
+        instances = [(family, make())]
     return [
         SharpnessRecord(label=label, graph6=write_graph6(g), report=evaluate(g))
         for label, g in instances

@@ -3,13 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from wienerbound.cli import main
+from wienerbound import generators
+from wienerbound.bounds import BoundReport
+from wienerbound.cli import build_parser, main
 from wienerbound.generators import petersen, prism, random_connected_m
 from wienerbound.graph import Graph, parse_graph6, write_edge_list, write_graph6
+from wienerbound.verifier import SHARPNESS_FAMILIES
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -35,6 +39,13 @@ class TestCompute:
         monkeypatch.setattr(sys, "stdin", io.StringIO("A_\n"))
         _, out, _ = run_cli(["compute", "--json"], capsys)
         assert out.startswith('{"graph6": "A_", "n": 2, "m": 1, "d": 1, "wiener": 1,')
+
+    def test_json_keys_are_report_fields(self, capsys, monkeypatch):
+        # the record is the graph6 line followed by the BoundReport, in field order
+        monkeypatch.setattr(sys, "stdin", io.StringIO("I?LRCecq?\n"))
+        _, out, _ = run_cli(["compute", "--json"], capsys)
+        keys = tuple(json.loads(out))
+        assert keys == ("graph6", *(f.name for f in fields(BoundReport)))
 
     def test_prism_edge_list(self, capsys, tmp_path):
         f = tmp_path / "prism.txt"
@@ -145,6 +156,28 @@ class TestCompute:
         assert code == 0
         assert "wiener" in out.splitlines()[0]
         assert "yes" in out
+
+    def test_human_table_golden(self, capsys, monkeypatch):
+        # a tight graph, then one whose bound does not apply
+        monkeypatch.setattr(sys, "stdin", io.StringIO("I?LRCecq?\n@\n"))
+        code, out, _ = run_cli(["compute"], capsys)
+        assert code == 0
+        assert out == (
+            "graph6                n        m    d       wiener        bound      gap tight\n"
+            "I?LRCecq?            10       15    2           75           75        0   yes\n"
+            "@                     1        0    0            0            -        -     -\n"
+        )
+
+    def test_out_of_range_edge_names_its_line(self, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("3 2\n0 3\n0 1\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "wienerbound", "compute", str(f), "--format", "edgelist"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: line 2: edge (0, 3) out of range for n=3\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["compute", "/nonexistent/x.g6"], capsys)
@@ -310,6 +343,14 @@ class TestGenerate:
         assert code == 2
 
 
+def test_family_names_are_generators():
+    # a family name is the name of its generator; random maps to random_connected
+    (commands,) = (a for a in build_parser()._actions if a.dest == "command")
+    (family,) = (a for a in commands.choices["generate"]._actions if a.dest == "family")
+    for name in sorted({*family.choices, *SHARPNESS_FAMILIES} - {"random"}):
+        assert callable(getattr(generators, name, None)), name
+
+
 class TestScan:
     def test_sharpness_json_all_tight(self, capsys):
         code, out, _ = run_cli(
@@ -319,6 +360,33 @@ class TestScan:
         records = [json.loads(line) for line in out.splitlines()]
         assert len(records) == 8
         assert all(r["tight"] for r in records)
+
+    def test_sharpness_golden(self, capsys):
+        code, out, _ = run_cli(["scan", "sharpness", "--family", "star", "--range", "2:3"], capsys)
+        assert code == 0
+        assert out == (
+            "label             n     m   d    wiener     bound    gap tight\n"
+            "star(2)           3     2   2         4         4      0   yes\n"
+            "star(3)           4     3   2         9         9      0   yes\n"
+        )
+        code, out, _ = run_cli(
+            ["scan", "sharpness", "--family", "star", "--range", "2:3", "--json"], capsys
+        )
+        assert code == 0
+        assert out == (
+            '{"label": "star(2)", "graph6": "Bo", "n": 3, "m": 2, "d": 2, '
+            '"wiener": 4, "bound": 4, "gap": 0, "tight": true}\n'
+            '{"label": "star(3)", "graph6": "Cs", "n": 4, "m": 3, "d": 2, '
+            '"wiener": 9, "bound": 9, "gap": 0, "tight": true}\n'
+        )
+
+    def test_empty_range_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["scan", "sharpness", "--family", "path", "--range", "5:4"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "5:4" in err
 
     def test_sharpness_table(self, capsys):
         code, out, _ = run_cli(["scan", "sharpness", "--family", "petersen"], capsys)

@@ -206,6 +206,26 @@ class TestReadGraph6:
         got = list(read_graph6(["A_", "", "%%%", "@"], skip_bad=True))
         assert got == [Graph(2, [(0, 1)]), None, Graph(1)]
 
+    def test_yielded_graph_does_not_keep_its_line(self):
+        # n = 8,000 with one edge: a 5.3 MB line for a graph of under 100 KiB
+        expected = Graph(8000, [(0, 7999)])
+        size = len(write_graph6(expected)) + 1
+
+        def lines():  # keeps no reference to the line it yields
+            yield write_graph6(expected) + "\n"
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reader = read_graph6(lines())
+            g = next(reader)
+            held = tracemalloc.get_traced_memory()[0] - base
+            reader.close()
+        finally:
+            tracemalloc.stop()
+        assert g == expected
+        assert held < size, f"{held} bytes held for a {size}-byte line"
+
 
 class TestGraph6Write:
     def test_k2(self):
@@ -316,9 +336,11 @@ class TestEdgeListText:
         ("3 x\n", "line 1: header must be two integers"),
         ("3 -1\n", "line 1: negative edge count"),
         ("3 1\n0 1 2\n", "line 2: edge line must be 'u v'"),
-        ("3 1\n0 3\n", "edge (0, 3) out of range for n=3"),
-        ("-1 0\n", "vertex count must be nonnegative, got -1"),
-    ], ids=["non-integer-header", "negative-m", "three-fields", "out-of-range", "negative-n"])
+        ("3 1\n0 3\n", "line 2: edge (0, 3) out of range for n=3"),
+        ("-1 0\n", "line 1: vertex count must be nonnegative, got -1"),
+        ("3 2\n0 1\n\n2 2\n", "line 4: self-loop at vertex 2"),
+    ], ids=["non-integer-header", "negative-m", "three-fields", "out-of-range", "negative-n",
+            "self-loop"])
     def test_malformed_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_edge_list(text)

@@ -240,6 +240,13 @@ class TestSharpnessScan:
         with pytest.raises(ValueError):
             sharpness_scan("star", 1, 5)
 
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError, match="5:4"):
+            sharpness_scan("path", 5, 4)
+        with pytest.raises(ValueError, match="12:11"):
+            sharpness_scan("star", 12)
+        assert len(sharpness_scan("star", 4, 4)) == 1
+
 
 class TestTriangleProperty:
     def test_c6(self):
