@@ -201,10 +201,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ValueError("range must look like A:B")
-    return int(lo), int(hi)
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:  # a field count other than two, or a non-integer
+        raise ValueError(f"range must be A:B with integers A and B, got {text!r}") from None
+    return lo, hi
 
 
 def _cmd_sharpness(args: argparse.Namespace) -> int:
@@ -276,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--order", type=int, help="max order for --random")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--threads", type=int, default=None,
-                          help="worker count (default: WIENER_THREADS or CPU count)")
+                          help="worker count of --exhaustive "
+                               "(default: WIENER_THREADS or CPU count)")
     p_verify.add_argument("--skip-bad", action="store_true",
                           help="skip malformed graph6 lines instead of aborting")
     p_verify.add_argument("--json", action="store_true")

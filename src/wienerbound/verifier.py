@@ -20,7 +20,7 @@ from .graph import Graph, _bfs, read_graph6, write_graph6
 from .metrics import diametral_path
 from .rng import stream
 
-DEFAULT_TIGHT_EXAMPLE_CAP = 100
+TIGHT_EXAMPLE_CAP = 100
 _EXHAUSTIVE_MAX_N = 7
 
 # A family name is the name of its generator in ``generators``.
@@ -38,7 +38,7 @@ class SweepSummary:
 
     ``violations`` counts graphs whose Wiener index falls below the bound;
     any nonzero value disproves soundness.  ``tight_examples`` holds graph6
-    strings of bound-attaining graphs, capped by the sweep's example cap.
+    strings of the first ``TIGHT_EXAMPLE_CAP`` bound-attaining graphs.
     """
 
     graphs_checked: int = 0
@@ -52,13 +52,18 @@ class SweepSummary:
     skipped_inapplicable: int = 0
     parse_errors: int = 0
 
-    def record(self, report: BoundReport, graph6: Callable[[], str], cap: int) -> None:
-        """Fold the BoundReport of one connected graph into the summary.
+    def record(self, report: BoundReport | None, graph6: Callable[[], str]) -> None:
+        """Fold one checked graph into the summary.
 
-        A report that does not apply counts under ``skipped_inapplicable``.
-        ``graph6`` encodes the graph; it is called only for a tight example
-        that is kept.
+        ``None`` stands for a disconnected graph, counted under
+        ``skipped_disconnected``; a report that does not apply counts under
+        ``skipped_inapplicable``.  ``graph6`` encodes the graph; it is called
+        only for a tight example that is kept.
         """
+        self.graphs_checked += 1
+        if report is None:
+            self.skipped_disconnected += 1
+            return
         if not report.applicable:
             self.skipped_inapplicable += 1
             return
@@ -72,10 +77,10 @@ class SweepSummary:
             self.violations += 1
         elif gap == 0:
             self.tight_count += 1
-            if len(self.tight_examples) < cap:
+            if len(self.tight_examples) < TIGHT_EXAMPLE_CAP:
                 self.tight_examples.append(graph6())
 
-    def merge(self, other: "SweepSummary", cap: int) -> None:
+    def merge(self, other: "SweepSummary") -> None:
         """Associative, order-respecting fold of a partition's summary."""
         self.graphs_checked += other.graphs_checked
         self.applicable += other.applicable
@@ -85,7 +90,7 @@ class SweepSummary:
             self.min_gap = other.min_gap if self.min_gap is None else min(self.min_gap, other.min_gap)
         if other.max_gap is not None:
             self.max_gap = other.max_gap if self.max_gap is None else max(self.max_gap, other.max_gap)
-        room = cap - len(self.tight_examples)
+        room = TIGHT_EXAMPLE_CAP - len(self.tight_examples)
         if room > 0:
             self.tight_examples.extend(other.tight_examples[:room])
         self.skipped_disconnected += other.skipped_disconnected
@@ -98,20 +103,21 @@ class SweepSummary:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else WIENER_THREADS, else CPU count."""
+    """Worker count: explicit argument, else WIENER_THREADS, else CPU count.
+
+    Zero picks the CPU count; a negative count from either source is an error.
+    """
+    source = "workers"
     if workers is None:
-        env = os.environ.get("WIENER_THREADS", "").strip()
+        source = "WIENER_THREADS"
+        env = os.environ.get(source, "").strip()
         workers = int(env) if env else 0
-        if workers < 0:
-            raise ValueError("WIENER_THREADS must be nonnegative")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
+    if workers < 0:
+        raise ValueError(f"{source} must be nonnegative")
+    return workers or os.cpu_count() or 1
 
 
-def _sweep_mask_range(
-    n: int, lo: int, hi: int, cap: int
-) -> SweepSummary:
+def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
     """Evaluate every labeled graph whose edge-subset index lies in [lo, hi).
 
     Adjacency is kept as per-vertex bitmasks; BFS expands whole frontiers
@@ -122,7 +128,6 @@ def _sweep_mask_range(
     summary = SweepSummary()
     full = (1 << n) - 1
     for mask in range(lo, hi):
-        summary.graphs_checked += 1
         adj = [0] * n
         mm = mask
         while mm:
@@ -155,22 +160,14 @@ def _sweep_mask_range(
                 break
             if k > diam:
                 diam = k
-        if seen != full:
-            summary.skipped_disconnected += 1
-            continue
         summary.record(
-            bound_report(n, mask.bit_count(), diam, double_wiener // 2),
+            bound_report(n, mask.bit_count(), diam, double_wiener // 2) if seen == full else None,
             lambda mask=mask: write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])),
-            cap,
         )
     return summary
 
 
-def exhaustive_sweep(
-    n: int,
-    workers: int | None = None,
-    tight_example_cap: int = DEFAULT_TIGHT_EXAMPLE_CAP,
-) -> SweepSummary:
+def exhaustive_sweep(n: int, workers: int | None = None) -> SweepSummary:
     """Check the bound on every labeled graph of order n, 2 <= n <= 7.
 
     Iterates all 2^(n(n-1)/2) edge subsets; disconnected graphs and graphs of
@@ -184,22 +181,21 @@ def exhaustive_sweep(
     total = 1 << (n * (n - 1) // 2)
     workers = min(resolve_workers(workers), total, os.cpu_count() or 1)
     if workers == 1:
-        return _sweep_mask_range(n, 0, total, tight_example_cap)
+        return _sweep_mask_range(n, 0, total)
     import multiprocessing as mp
 
     chunks = workers * 4
     step = (total + chunks - 1) // chunks
-    spans = [(n, lo, min(lo + step, total), tight_example_cap)
-             for lo in range(0, total, step)]
+    spans = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     with mp.get_context("fork").Pool(workers) as pool:
         partials = pool.starmap(_sweep_mask_range, spans)
     summary = SweepSummary()
     for part in partials:
-        summary.merge(part, tight_example_cap)
+        summary.merge(part)
     return summary
 
 
-def _fold(graphs: Iterable[Graph | None], cap: int) -> SweepSummary:
+def _fold(graphs: Iterable[Graph | None]) -> SweepSummary:
     """The sweep driver for graph iterables; None stands for a line that did
     not parse."""
     summary = SweepSummary()
@@ -207,30 +203,22 @@ def _fold(graphs: Iterable[Graph | None], cap: int) -> SweepSummary:
         if g is None:
             summary.parse_errors += 1
             continue
-        summary.graphs_checked += 1
-        if g.n == 0:  # the distance pass needs a vertex
-            summary.skipped_inapplicable += 1
-            continue
         try:
-            report = evaluate(g)
+            # the distance pass needs a vertex; the empty graph does not apply
+            report = evaluate(g) if g.n else bound_report(0, 0, 0, 0)
         except DisconnectedGraphError:
-            summary.skipped_disconnected += 1
-            continue
-        summary.record(report, lambda g=g: write_graph6(g), cap)
+            report = None
+        summary.record(report, lambda g=g: write_graph6(g))
     return summary
 
 
-def stream_sweep(
-    lines: Iterable[str],
-    skip_bad: bool = False,
-    tight_example_cap: int = DEFAULT_TIGHT_EXAMPLE_CAP,
-) -> SweepSummary:
+def stream_sweep(lines: Iterable[str], skip_bad: bool = False) -> SweepSummary:
     """Aggregate the bound check over a stream of graph6 lines.
 
     Blank lines are ignored.  A malformed line aborts with its line number
     unless ``skip_bad`` is set, in which case it is counted and skipped.
     """
-    return _fold(read_graph6(lines, skip_bad), tight_example_cap)
+    return _fold(read_graph6(lines, skip_bad))
 
 
 def iter_random_corpus(count: int, max_order: int, seed: int) -> Iterable[Graph]:
@@ -251,14 +239,9 @@ def iter_random_corpus(count: int, max_order: int, seed: int) -> Iterable[Graph]
         yield generators.random_connected(order, prob, seed=rng.next_u64())
 
 
-def random_sweep(
-    count: int,
-    max_order: int,
-    seed: int,
-    tight_example_cap: int = DEFAULT_TIGHT_EXAMPLE_CAP,
-) -> SweepSummary:
+def random_sweep(count: int, max_order: int, seed: int) -> SweepSummary:
     """Check the bound on seeded random connected graphs of mixed density."""
-    return _fold(iter_random_corpus(count, max_order, seed), tight_example_cap)
+    return _fold(iter_random_corpus(count, max_order, seed))
 
 
 @dataclass(frozen=True)
@@ -278,9 +261,9 @@ def sharpness_scan(
     """Evaluate the bound on a named witness family.
 
     ``path`` ranges over vertex counts (default 3..12), ``star`` over leaf
-    counts (default 2..11); ``prism`` and ``petersen`` are single graphs.
-    A range whose first value exceeds its last is an error.  Every instance
-    is expected tight; the caller inspects the flags.
+    counts (default 2..11); ``prism`` and ``petersen`` are single graphs and
+    take no range.  A range whose first value exceeds its last is an error.
+    Every instance is expected tight; the caller inspects the flags.
     """
     if family not in SHARPNESS_FAMILIES:
         raise ValueError(f"unknown family {family!r}; pick one of {SHARPNESS_FAMILIES}")
@@ -294,6 +277,8 @@ def sharpness_scan(
         if lo > hi:
             raise ValueError(f"empty {family} range {lo}:{hi}")
         instances = [(f"{family}({k})", make(k)) for k in range(lo, hi + 1)]
+    elif start is not None or stop is not None:
+        raise ValueError(f"family {family!r} takes no range")
     else:
         instances = [(family, make())]
     return [

@@ -293,6 +293,12 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--random", "10"], capsys)
         assert code == 2
 
+    def test_negative_threads_exits_2(self, capsys):
+        code, out, err = run_cli(["verify", "--exhaustive", "3", "--threads", "-3"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: workers must be nonnegative\n"
+
     def test_human_summary(self, capsys):
         code, out, _ = run_cli(["verify", "--exhaustive", "3", "--threads", "1"], capsys)
         assert code == 0
@@ -406,10 +412,22 @@ class TestScan:
         assert "16, 17, 20" in out
 
     def test_bad_range(self, capsys):
-        code, _, err = run_cli(
-            ["scan", "sharpness", "--family", "path", "--range", "37"], capsys
+        for text in ("37", "a:4", "3:4:5"):
+            code, out, err = run_cli(
+                ["scan", "sharpness", "--family", "path", "--range", text], capsys
+            )
+            assert code == 2
+            assert out == ""
+            assert err == f"error: range must be A:B with integers A and B, got '{text}'\n"
+
+    @pytest.mark.parametrize("family", ["prism", "petersen"])
+    def test_single_graph_refuses_range(self, capsys, family):
+        code, out, err = run_cli(
+            ["scan", "sharpness", "--family", family, "--range", "5:4"], capsys
         )
         assert code == 2
+        assert out == ""
+        assert err == f"error: family '{family}' takes no range\n"
 
 
 @pytest.mark.usefixtures("wienerbound_on_path")

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 
@@ -18,7 +19,7 @@ from wienerbound import (
     write_graph6,
 )
 from wienerbound.generators import cycle, path, petersen, prism, random_connected, star
-from wienerbound.verifier import resolve_workers
+from wienerbound.verifier import TIGHT_EXAMPLE_CAP, resolve_workers
 
 from oracles import to_nx
 
@@ -35,6 +36,41 @@ FROZEN_SWEEPS = {
             skipped_disconnected=296, skipped_inapplicable=1,
             min_gap=0, max_gap=1),
 }
+
+
+# sha256 of the newline-joined tight examples an exhaustive sweep keeps (the
+# first 100 in mask order), frozen from a sequential sweep
+FROZEN_TIGHT_EXAMPLES = {
+    5: "4d3e24fb10d80a4209d357344abe45443fa23c39289a2dc621ff1f5f86fa71a6",
+    6: "86599bc69b2b543e9bdd4b22fb5b94e7fc6250d0a5736b142eef78ece341fcc8",
+}
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A 3-CPU host whose pool records its size and runs in-process: no
+    worker starts.  Returns the list of pool sizes."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, k):
+            sizes.append(k)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, spans):
+            return [fn(*span) for span in spans]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return sizes
 
 
 class TestExhaustiveSweep:
@@ -62,37 +98,26 @@ class TestExhaustiveSweep:
         par = exhaustive_sweep(5, workers=2)
         assert seq.to_dict() == par.to_dict()
 
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # a fake pool records its size and runs in-process: no worker starts
-        sizes = []
-
-        class FakePool:
-            def __init__(self, k):
-                sizes.append(k)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, spans):
-                return [fn(*span) for span in spans]
-
-        class FakeContext:
-            Pool = FakePool
-
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    def test_pool_capped_at_cpu_count(self, fake_pool, monkeypatch):
         expected = exhaustive_sweep(4, workers=1).to_dict()
         assert exhaustive_sweep(4, workers=100_000).to_dict() == expected
         monkeypatch.setenv("WIENER_THREADS", "100000")
         assert exhaustive_sweep(4).to_dict() == expected
-        assert sizes == [3, 3]
+        assert fake_pool == [3, 3]
+
+    @pytest.mark.parametrize("n", sorted(FROZEN_TIGHT_EXAMPLES))
+    def test_frozen_tight_examples(self, n, fake_pool):
+        # the 3-worker run merges 12 partitions, so merge's truncation is pinned too
+        for workers in (1, 3):
+            examples = exhaustive_sweep(n, workers=workers).tight_examples
+            assert len(examples) == 100
+            digest = hashlib.sha256("\n".join(examples).encode()).hexdigest()
+            assert digest == FROZEN_TIGHT_EXAMPLES[n], workers
+        assert fake_pool == [3]
 
     def test_tight_example_cap(self):
-        summary = exhaustive_sweep(5, workers=1, tight_example_cap=10)
-        assert len(summary.tight_examples) == 10
+        summary = exhaustive_sweep(5, workers=1)
+        assert len(summary.tight_examples) == TIGHT_EXAMPLE_CAP == 100
         assert summary.tight_count == FROZEN_SWEEPS[5]["tight_count"]
 
     def test_examples_parse_and_are_tight(self):
@@ -148,11 +173,11 @@ class TestStreamSweep:
             return write_graph6(g)
 
         monkeypatch.setattr(verifier, "write_graph6", counting_write)
-        lines = [write_graph6(g) for g in (path(5), star(4), prism(), petersen())]
-        summary = stream_sweep(lines, tight_example_cap=1)
-        assert summary.tight_count == 4
-        assert summary.tight_examples == lines[:1]
-        assert len(calls) == 1
+        lines = [write_graph6(path(k)) for k in range(3, 110)]
+        summary = stream_sweep(lines)
+        assert summary.tight_count == 107
+        assert summary.tight_examples == lines[:TIGHT_EXAMPLE_CAP]
+        assert len(calls) == TIGHT_EXAMPLE_CAP
 
     def test_disconnected_counted(self):
         summary = stream_sweep([write_graph6(Graph(4, [(0, 1), (2, 3)]))])
@@ -246,6 +271,12 @@ class TestSharpnessScan:
         with pytest.raises(ValueError, match="12:11"):
             sharpness_scan("star", 12)
         assert len(sharpness_scan("star", 4, 4)) == 1
+
+    def test_single_graphs_take_no_range(self):
+        with pytest.raises(ValueError, match="^family 'prism' takes no range$"):
+            sharpness_scan("prism", 5, 4)
+        with pytest.raises(ValueError, match="^family 'petersen' takes no range$"):
+            sharpness_scan("petersen", stop=3)
 
 
 class TestTriangleProperty:
