@@ -176,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.order is None:
             raise ValueError("--random needs --order")
-        summary = random_sweep(args.random, args.order, args.seed)
+        summary = random_sweep(args.random, args.order, args.seed, workers=args.threads)
     _print_summary(summary, args.json)
     return 0 if summary.violations == 0 else 1
 
@@ -277,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--order", type=int, help="max order for --random")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--threads", type=int, default=None,
-                          help="worker count of --exhaustive "
-                               "(default: WIENER_THREADS or CPU count)")
+                          help="worker count of --exhaustive and --random; --stream "
+                               "runs in one process (default: WIENER_THREADS or CPU "
+                               "count; a negative or non-integer value is exit 2)")
     p_verify.add_argument("--skip-bad", action="store_true",
                           help="skip malformed graph6 lines instead of aborting")
     p_verify.add_argument("--json", action="store_true")

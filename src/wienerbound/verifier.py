@@ -9,9 +9,10 @@ runs and single-threaded runs produce identical results.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import generators
 from .bounds import BoundReport, bound_report, evaluate, wiener_lower_bound
@@ -105,13 +106,17 @@ class SweepSummary:
 def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else WIENER_THREADS, else CPU count.
 
-    Zero picks the CPU count; a negative count from either source is an error.
+    Zero picks the CPU count; a negative count from either source, or a
+    WIENER_THREADS that is not an integer, is an error.
     """
     source = "workers"
     if workers is None:
         source = "WIENER_THREADS"
         env = os.environ.get(source, "").strip()
-        workers = int(env) if env else 0
+        try:
+            workers = int(env) if env else 0
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
     if workers < 0:
         raise ValueError(f"{source} must be nonnegative")
     return workers or os.cpu_count() or 1
@@ -126,6 +131,7 @@ def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
     """
     pairs = list(combinations(range(n), 2))
     summary = SweepSummary()
+    reports = {}  # (m, d, W) -> its report; reports are immutable, so masks share them
     full = (1 << n) - 1
     for mask in range(lo, hi):
         adj = [0] * n
@@ -160,10 +166,42 @@ def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
                 break
             if k > diam:
                 diam = k
+        if seen != full:
+            report = None
+        else:
+            key = (mask.bit_count(), diam, double_wiener // 2)
+            report = reports.get(key)
+            if report is None:
+                report = reports[key] = bound_report(n, *key)
         summary.record(
-            bound_report(n, mask.bit_count(), diam, double_wiener // 2) if seen == full else None,
+            report,
             lambda mask=mask: write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])),
         )
+    return summary
+
+
+def _partitioned(sweep: Callable[..., SweepSummary], arg: object, total: int,
+                 workers: int | None) -> SweepSummary:
+    """Run ``sweep(arg, lo, hi)`` over [0, total) in spans of a pool capped at
+    the CPU count and at ``total``; one worker runs in this process and starts
+    no pool.  Partials merge in span order, so the result is ``sweep(arg, 0, total)``'s.
+    """
+    workers = min(resolve_workers(workers), total, os.cpu_count() or 1)
+    if workers <= 1:
+        return sweep(arg, 0, total)
+    import multiprocessing as mp
+
+    chunks = workers * 4
+    step = (total + chunks - 1) // chunks
+    spans = [(arg, lo, min(lo + step, total)) for lo in range(0, total, step)]
+    # a forked child has only the calling thread, so a lock another thread
+    # held stays held; numpy may have started such threads
+    method = "forkserver" if "numpy" in sys.modules else "fork"
+    with mp.get_context(method).Pool(workers) as pool:
+        partials = pool.starmap(sweep, spans)
+    summary = SweepSummary()
+    for part in partials:
+        summary.merge(part)
     return summary
 
 
@@ -178,21 +216,7 @@ def exhaustive_sweep(n: int, workers: int | None = None) -> SweepSummary:
     """
     if not 2 <= n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive sweep supports 2 <= n <= {_EXHAUSTIVE_MAX_N}, got {n}")
-    total = 1 << (n * (n - 1) // 2)
-    workers = min(resolve_workers(workers), total, os.cpu_count() or 1)
-    if workers == 1:
-        return _sweep_mask_range(n, 0, total)
-    import multiprocessing as mp
-
-    chunks = workers * 4
-    step = (total + chunks - 1) // chunks
-    spans = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with mp.get_context("fork").Pool(workers) as pool:
-        partials = pool.starmap(_sweep_mask_range, spans)
-    summary = SweepSummary()
-    for part in partials:
-        summary.merge(part)
-    return summary
+    return _partitioned(_sweep_mask_range, n, 1 << (n * (n - 1) // 2), workers)
 
 
 def _fold(graphs: Iterable[Graph | None]) -> SweepSummary:
@@ -221,27 +245,44 @@ def stream_sweep(lines: Iterable[str], skip_bad: bool = False) -> SweepSummary:
     return _fold(read_graph6(lines, skip_bad))
 
 
-def iter_random_corpus(count: int, max_order: int, seed: int) -> Iterable[Graph]:
+def iter_random_corpus(count: int, max_order: int, seed: int) -> Iterator[Graph]:
     """The seeded mixed-density corpus behind ``random_sweep``.
 
     Instance i draws its order from [3, max_order] and its extra-edge
     probability from {0.00, 0.01, ..., 1.00} on an independent stream, so the
-    corpus is reproducible and independent of evaluation order.
+    corpus is reproducible and independent of evaluation order.  The
+    arguments are checked when this is called, before any graph is drawn.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if max_order < 3:
         raise ValueError(f"max order must be >= 3, got {max_order}")
-    for i in range(count):
+    return _random_graphs(max_order, seed, 0, count)
+
+
+def _random_graphs(max_order: int, seed: int, lo: int, hi: int) -> Iterator[Graph]:
+    # instance i depends only on stream(seed, i), so index ranges partition the corpus
+    for i in range(lo, hi):
         rng = stream(seed, i)
         order = 3 + rng.below(max_order - 2)
         prob = rng.below(101) / 100
         yield generators.random_connected(order, prob, seed=rng.next_u64())
 
 
-def random_sweep(count: int, max_order: int, seed: int) -> SweepSummary:
-    """Check the bound on seeded random connected graphs of mixed density."""
-    return _fold(iter_random_corpus(count, max_order, seed))
+def _random_range(corpus: tuple[int, int], lo: int, hi: int) -> SweepSummary:
+    """Sweep instances [lo, hi) of the ``(max_order, seed)`` corpus; a worker
+    draws its own graphs, so none is pickled."""
+    return _fold(_random_graphs(*corpus, lo, hi))
+
+
+def random_sweep(count: int, max_order: int, seed: int, workers: int | None = None) -> SweepSummary:
+    """Check the bound on seeded random connected graphs of mixed density.
+
+    Workers sweep index ranges of the corpus, as in ``exhaustive_sweep``, so
+    the result does not depend on ``workers``.
+    """
+    iter_random_corpus(count, max_order, seed)  # checks the arguments; draws nothing
+    return _partitioned(_random_range, (max_order, seed), count, workers)
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,32 @@ class TestVerify:
         assert out == ""
         assert err == "error: workers must be nonnegative\n"
 
+    def test_negative_threads_random_exits_2(self, capsys, monkeypatch):
+        args = ["verify", "--random", "5", "--order", "10"]
+        assert run_cli([*args, "--threads", "-3", "--json"], capsys) == (
+            2, "", "error: workers must be nonnegative\n")
+        monkeypatch.setenv("WIENER_THREADS", "-3")
+        assert run_cli(args, capsys) == (2, "", "error: WIENER_THREADS must be nonnegative\n")
+
+    def test_non_integer_env_threads_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("WIENER_THREADS", "abc")
+        assert run_cli(["verify", "--exhaustive", "3"], capsys) == (
+            2, "", "error: WIENER_THREADS must be an integer, got 'abc'\n")
+
+    def test_random_zero_starts_no_pool(self):
+        # the benchmark's no-work run: a pool would add its start-up to every setup run
+        code = (
+            "import sys; from wienerbound import cli; "
+            "rc = cli.main(['verify', '--random', '0', '--order', '50', '--json']); "
+            "assert rc == 0, rc; "
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_human_summary(self, capsys):
         code, out, _ = run_cli(["verify", "--exhaustive", "3", "--threads", "1"], capsys)
         assert code == 0

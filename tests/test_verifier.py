@@ -1,6 +1,8 @@
 import hashlib
 import multiprocessing
 import os
+import sys
+import types
 
 import networkx as nx
 import pytest
@@ -46,11 +48,23 @@ FROZEN_TIGHT_EXAMPLES = {
 }
 
 
+class PoolLog(list):
+    """Sizes of the pools started, in order; ``methods`` holds their start methods."""
+
+    def __init__(self):
+        super().__init__()
+        self.methods = []
+
+
 @pytest.fixture
 def fake_pool(monkeypatch):
     """A 3-CPU host whose pool records its size and runs in-process: no
-    worker starts.  Returns the list of pool sizes."""
-    sizes = []
+    worker starts.  Returns the ``PoolLog`` of the pools asked for."""
+    sizes = PoolLog()
+
+    def get_context(method):
+        sizes.methods.append(method)
+        return FakeContext
 
     class FakePool:
         def __init__(self, k):
@@ -68,7 +82,7 @@ def fake_pool(monkeypatch):
     class FakeContext:
         Pool = FakePool
 
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     return sizes
 
@@ -104,6 +118,16 @@ class TestExhaustiveSweep:
         monkeypatch.setenv("WIENER_THREADS", "100000")
         assert exhaustive_sweep(4).to_dict() == expected
         assert fake_pool == [3, 3]
+
+    def test_fork_unless_numpy_loaded(self, fake_pool, monkeypatch):
+        # fork copies only the calling thread, and numpy may hold threads
+        expected = exhaustive_sweep(4, workers=1).to_dict()
+        monkeypatch.delitem(sys.modules, "numpy", raising=False)
+        assert exhaustive_sweep(4, workers=3).to_dict() == expected
+        monkeypatch.setitem(sys.modules, "numpy", types.ModuleType("numpy"))
+        assert exhaustive_sweep(4, workers=3).to_dict() == expected
+        assert fake_pool == [3, 3]
+        assert fake_pool.methods == ["fork", "forkserver"]
 
     @pytest.mark.parametrize("n", sorted(FROZEN_TIGHT_EXAMPLES))
     def test_frozen_tight_examples(self, n, fake_pool):
@@ -226,11 +250,30 @@ class TestRandomSweep:
         assert summary.violations == 0
         assert summary.applicable + summary.skipped_inapplicable == 300
 
-    def test_argument_validation(self):
+    def test_argument_validation(self, fake_pool):
         with pytest.raises(ValueError):
             random_sweep(-1, 30, seed=0)
         with pytest.raises(ValueError):
             random_sweep(10, 2, seed=0)
+        with pytest.raises(ValueError, match="^workers must be nonnegative$"):
+            random_sweep(10, 30, seed=0, workers=-3)
+        assert fake_pool == []
+
+    def test_partition_equals_sequential(self, request):
+        # 270 tight graphs; the first 100 lie in 5 of the fake pool's 12 spans,
+        # so merge's in-order truncation of tight_examples is pinned
+        expected = random_sweep(400, 8, seed=0, workers=1).to_dict()
+        assert expected["tight_count"] == 270
+        assert random_sweep(400, 8, seed=0, workers=2).to_dict() == expected
+        pools = request.getfixturevalue("fake_pool")
+        assert random_sweep(400, 8, seed=0, workers=3).to_dict() == expected
+        assert random_sweep(400, 8, seed=0, workers=100_000).to_dict() == expected
+        assert pools == [3, 3]
+
+    def test_one_graph_starts_no_pool(self, fake_pool):
+        assert random_sweep(0, 50, 0).graphs_checked == 0
+        assert random_sweep(1, 50, 0).graphs_checked == 1
+        assert fake_pool == []
 
 
 class TestSharpnessScan:
@@ -340,4 +383,9 @@ class TestResolveWorkers:
     def test_negative_env_rejected(self, monkeypatch):
         monkeypatch.setenv("WIENER_THREADS", "-2")
         with pytest.raises(ValueError):
+            resolve_workers(None)
+
+    def test_non_integer_env_named(self, monkeypatch):
+        monkeypatch.setenv("WIENER_THREADS", " abc ")
+        with pytest.raises(ValueError, match="^WIENER_THREADS must be an integer, got 'abc'$"):
             resolve_workers(None)
