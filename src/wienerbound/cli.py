@@ -32,6 +32,7 @@ from .verifier import (
     exhaustive_sweep,
     monotonicity_scan,
     random_sweep,
+    resolve_workers,
     sharpness_scan,
     stream_sweep,
 )
@@ -171,6 +172,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.exhaustive is not None:
         summary = exhaustive_sweep(args.exhaustive, workers=args.threads)
     elif args.stream is not None:
+        resolve_workers(args.threads)  # one worker rule for every mode; streams run in one process
         with _open_input(args.stream) as stream_in:
             summary = stream_sweep(stream_in, skip_bad=args.skip_bad)
     else:
@@ -277,9 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--order", type=int, help="max order for --random")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--threads", type=int, default=None,
-                          help="worker count of --exhaustive and --random; --stream "
-                               "runs in one process (default: WIENER_THREADS or CPU "
-                               "count; a negative or non-integer value is exit 2)")
+                          help="worker count of --exhaustive and --random (default: "
+                               "WIENER_THREADS or CPU count; a negative or non-integer "
+                               "value is exit 2 in every mode); --stream checks the "
+                               "value but runs in one process")
     p_verify.add_argument("--skip-bad", action="store_true",
                           help="skip malformed graph6 lines instead of aborting")
     p_verify.add_argument("--json", action="store_true")

@@ -9,10 +9,10 @@ extra edges, so connectivity holds at every density.
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
+from itertools import chain, combinations, compress
 
 from .graph import Graph, _pair_at
-from .rng import _GOLDEN, _MASK64, _MIX_A, _MIX_B, SplitMix64
+from .rng import SplitMix64
 
 
 def path(n: int) -> Graph:
@@ -106,8 +106,10 @@ def random_connected(n: int, extra_edge_probability: float, seed: int) -> Graph:
     """Random connected graph: uniform labeled tree plus each non-tree pair
     independently with the given probability.  Deterministic per seed.
 
-    Every pair is examined, so this costs O(n^2) draws; use
-    ``random_connected_m`` for large sparse instances.
+    Every pair is examined, so this costs O(n^2) draws, but not O(n^2)
+    Python steps: the draws are evaluated a block of up to 4,096 pairs at a
+    time by ``SplitMix64.chances``.  Use ``random_connected_m`` for large
+    sparse instances.
     """
     if n < 1:
         raise ValueError(f"requires n >= 1, got {n}")
@@ -117,16 +119,10 @@ def random_connected(n: int, extra_edge_probability: float, seed: int) -> Graph:
     tree_rng = root.split()
     edges = _random_tree_edges(n, tree_rng)
     # One draw per pair, so the stream layout is independent of the tree.
-    # This is ``root.split().chance(p)`` per pair with the splitmix64 step
-    # written out: the split stream's state is the root's next output.
-    state = root.next_u64()
-    threshold = int(extra_edge_probability * (1 << 64))
-    for pair in combinations(range(n), 2):
-        state = (state + _GOLDEN) & _MASK64
-        z = ((state ^ (state >> 30)) * _MIX_A) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-        if z ^ (z >> 31) < threshold:
-            edges.append(pair)
+    # One compress over the chained blocks: compress pulls its next pair
+    # before its next flag, so one compress per block would drop a pair.
+    flags = root.split().chances(extra_edge_probability, n * (n - 1) // 2)
+    edges.extend(compress(combinations(range(n), 2), chain.from_iterable(flags)))
     return Graph(n, edges)
 
 

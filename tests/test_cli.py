@@ -311,6 +311,22 @@ class TestVerify:
         assert run_cli(["verify", "--exhaustive", "3"], capsys) == (
             2, "", "error: WIENER_THREADS must be an integer, got 'abc'\n")
 
+    def test_stream_checks_worker_count(self, tmp_path):
+        # the stream sweep runs in one process but refuses the same values
+        f = tmp_path / "prism.g6"
+        f.write_text(write_graph6(prism()) + "\n")
+        cases = (
+            (["--threads", "-3"], {}, "error: workers must be nonnegative\n"),
+            ([], {"WIENER_THREADS": "abc"}, "error: WIENER_THREADS must be an integer, got 'abc'\n"),
+        )
+        for extra, env, message in cases:
+            proc = subprocess.run(
+                [sys.executable, "-m", "wienerbound", "verify", "--stream", str(f), *extra],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC), **env},
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
     def test_random_zero_starts_no_pool(self):
         # the benchmark's no-work run: a pool would add its start-up to every setup run
         code = (

@@ -1,9 +1,11 @@
 import hashlib
+from itertools import combinations
 
 import pytest
 
 from wienerbound import diameter, is_connected, wiener_index
 from wienerbound.generators import (
+    _random_tree_edges,
     cartesian_product,
     complete,
     cycle,
@@ -16,7 +18,7 @@ from wienerbound.generators import (
 )
 from wienerbound.graph import Graph
 from wienerbound.metrics import bfs_distances
-from wienerbound.rng import SplitMix64, stream
+from wienerbound.rng import _GOLDEN, _LANES, _MASK64, _MIX_A, _MIX_B, SplitMix64, stream
 from wienerbound.verifier import iter_random_corpus, random_sweep
 
 
@@ -137,6 +139,17 @@ class TestRandomConnected:
         with pytest.raises(ValueError):
             random_connected(5, 1.5, seed=0)
 
+    def test_matches_per_pair_draws(self):
+        # n = 91 has 4,095 pairs (one block), n = 92 has 4,186 (two blocks)
+        for n in (2, 3, 91, 92, 129):
+            for p in (0.0, 0.05, 0.5, 1.0):
+                for seed in (0, 7, 2**64 - 1):
+                    root = SplitMix64(seed)
+                    edges = _random_tree_edges(n, root.split())
+                    draws = root.split()
+                    edges += [pair for pair in combinations(range(n), 2) if draws.chance(p)]
+                    assert random_connected(n, p, seed) == Graph(n, edges), (n, p, seed)
+
 
 class TestRandomCorpus:
     # Frozen from the generator that drew every pair through SplitMix64.chance;
@@ -192,6 +205,19 @@ class TestRandomConnectedM:
         assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
 
 
+def _unmix64(z):
+    # inverse of the splitmix64 finalizer: each xorshift and odd product is a bijection
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s + 1):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31) * pow(_MIX_B, -1, 1 << 64) & _MASK64
+    z = unshift(z, 27) * pow(_MIX_A, -1, 1 << 64) & _MASK64
+    return unshift(z, 30)
+
+
 class TestSplitMix64:
     def test_reference_vectors(self):
         # frozen outputs of the reference mixer for three seeds
@@ -229,6 +255,45 @@ class TestSplitMix64:
         b = SplitMix64(3)
         b.next_u64()
         assert a.next_u64() == b.next_u64()
+
+    def test_chances_match_chance(self):
+        for count in (0, 1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 1):
+            for p in (0.0, 1e-19, 0.5, 1 - 2**-53, 1.0):
+                for seed in (0, 2**64 - 1, 12345):
+                    blocks = list(SplitMix64(seed).chances(p, count))
+                    assert [len(b) for b in blocks] == [
+                        min(_LANES, count - lo) for lo in range(0, count, _LANES)
+                    ]
+                    rng = SplitMix64(seed)
+                    expected = bytes(rng.chance(p) for _ in range(count))
+                    block_rng = SplitMix64(seed)
+                    lazy = block_rng.chances(p, count)
+                    # the generator moves past every draw at the call
+                    assert block_rng.next_u64() == rng.next_u64()
+                    assert b"".join(lazy) == expected, (count, p, seed)
+
+    def test_chances_exact_at_threshold(self):
+        # random outputs never meet the threshold, so seed draw 1 to output
+        # exactly threshold - 1, threshold or 2**64 - 1; draw 0's lane then
+        # holds the low bits of draw 1 above bit 64 until the last per-lane mask
+        for p in (0.0, 1e-19, 0.5, 1 - 2**-53, 1.0):
+            threshold = int(p * (1 << 64))
+            for z in (threshold - 1, threshold, _MASK64):
+                if not 0 <= z <= _MASK64:
+                    continue
+                seed = (_unmix64(z) - 2 * _GOLDEN) & _MASK64
+                rng = SplitMix64(seed)
+                outputs = [rng.next_u64() for _ in range(3)]
+                assert outputs[1] == z
+                flags = b"".join(SplitMix64(seed).chances(p, 3))
+                assert flags == bytes(out < threshold for out in outputs), (p, z)
+
+    def test_chances_validated(self):
+        for p in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                SplitMix64(0).chances(p, 3)
+        with pytest.raises(ValueError):
+            SplitMix64(0).chances(0.5, -1)
 
     def test_split_independent_of_parent_use(self):
         parent = SplitMix64(8)

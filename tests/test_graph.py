@@ -278,7 +278,7 @@ class TestGraph6Write:
         assert parse_graph6(line) == g
         assert line == nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
 
-    def test_nx_agreement_past_engine_switch(self):
+    def test_nx_agreement_extended_header(self):
         g = random_connected_m(1100, 3000, seed=5)
         expected = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
         assert write_graph6(g) == expected
