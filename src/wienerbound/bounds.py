@@ -128,7 +128,7 @@ def moore_diameter_lower_bound(n: int, delta: int) -> int:
     if delta < 2:
         raise NotApplicableError(f"requires maximum degree >= 2, got {delta}")
     if delta == 2:
-        return max(1, -(-(n - 1) // 2))
+        return -(-(n - 1) // 2)
     d, layer, n_max = 1, delta, 1 + delta
     while n_max < n:
         d += 1
@@ -160,16 +160,14 @@ def wiener_lower_bound_from_degree(n: int, m: int, delta: int) -> int:
 def bound_report(n: int, m: int, d: int, wiener: int) -> BoundReport:
     """The bound against the Wiener index of a connected graph of order n,
     size m and diameter d; not applicable (null fields) for d < 2."""
-    if d < 2:
-        return BoundReport(
-            n=n, m=m, d=d, wiener=wiener,
-            bound=None, gap=None, tight=None, applicable=False,
-        )
-    bound = wiener_lower_bound(n, m, d)
-    gap = wiener - bound
+    bound = gap = tight = None
+    if d >= 2:
+        bound = wiener_lower_bound(n, m, d)
+        gap = wiener - bound
+        tight = gap == 0
     return BoundReport(
         n=n, m=m, d=d, wiener=wiener,
-        bound=bound, gap=gap, tight=gap == 0, applicable=True,
+        bound=bound, gap=gap, tight=tight, applicable=bound is not None,
     )
 
 

@@ -81,8 +81,6 @@ def _random_tree_edges(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
     # Decode a random Pruefer sequence: uniform over labeled trees.
     if n < 2:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = [rng.below(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:

@@ -146,11 +146,10 @@ def _parse_order(raw: bytes) -> tuple[int, int]:
             raise Graph6ParseError("8-byte graph6 order header is not supported")
         if len(raw) < 4:
             raise Graph6ParseError("truncated extended order header")
-        groups = raw[1:4]
-        for b in groups:
-            if not 63 <= b <= 126:
-                raise Graph6ParseError(f"header byte {b} outside 63..126")
-        n = ((groups[0] - 63) << 12) | ((groups[1] - 63) << 6) | (groups[2] - 63)
+        bad = raw[1:4].translate(None, _G6_ALPHABET)
+        if bad:
+            raise Graph6ParseError(f"header byte {bad[0]} outside 63..126")
+        n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
         if n <= _G6_SMALL_MAX:
             raise Graph6ParseError(
                 f"non-canonical extended header for n={n} (fits single byte)"
@@ -180,11 +179,10 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {nbytes} data bytes for n={n}, got {len(raw) - offset}"
         )
-    # the header bytes passed _parse_order, so this checks the data bytes
-    if raw.translate(None, _G6_ALPHABET):
-        for b in raw[offset:]:
-            if not 63 <= b <= 126:
-                raise Graph6ParseError(f"data byte {b} outside 63..126")
+    # the header bytes passed _parse_order, so the first bad byte is a data byte
+    bad = raw.translate(None, _G6_ALPHABET)
+    if bad:
+        raise Graph6ParseError(f"data byte {bad[0]} outside 63..126")
     padding = 6 * nbytes - nbits
     if padding and (raw[-1] - 63) & ((1 << padding) - 1):
         raise Graph6ParseError("nonzero padding bits")

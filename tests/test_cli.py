@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from wienerbound import generators
-from wienerbound.bounds import BoundReport
+from wienerbound.bounds import BoundReport, bound_report
 from wienerbound.cli import build_parser, main
 from wienerbound.generators import petersen, prism, random_connected_m
 from wienerbound.graph import Graph, parse_graph6, write_edge_list, write_graph6
@@ -207,6 +207,26 @@ class TestBound:
         assert "on-path pair excess" in out
         assert out.strip().endswith("= 20")
 
+    @pytest.mark.parametrize("args, expected", [
+        (["--n", "20", "--m", "30", "--d", "7"], (
+            "n(n-1)                  = 380\n"
+            "- m                     = -30\n"
+            "on-path pair excess     = 35    [d(d-1)(d-2)/6]\n"
+            "off-path vertex excess  = 48    [(n-d-1) vertices x 4 each]\n"
+            "bound                   = 433\n"
+        )),
+        (["--n", "11", "--m", "15", "--delta", "3"], (
+            "n(n-1)                  = 110\n"
+            "- m                     = -15\n"
+            "on-path pair excess     = 1    [d(d-1)(d-2)/6]\n"
+            "off-path vertex excess  = 0    [(n-d-1) vertices x 0 each]\n"
+            "bound                   = 96\n"
+        )),
+    ])
+    def test_trace_golden(self, capsys, args, expected):
+        code, out, err = run_cli(["bound", *args, "--trace"], capsys)
+        assert (code, out, err) == (0, expected, "")
+
     def test_json(self, capsys):
         code, out, _ = run_cli(
             ["bound", "--n", "11", "--m", "15", "--delta", "3", "--json"], capsys
@@ -218,6 +238,14 @@ class TestBound:
         code, _, err = run_cli(["bound", "--n", "4", "--m", "6", "--delta", "3"], capsys)
         assert code == 2
         assert "complete" in err
+
+    def test_trace_and_json_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--n", "20", "--m", "30", "--d", "7", "--trace", "--json"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert err.endswith("argument --json: not allowed with argument --trace\n")
 
     def test_d_and_delta_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -358,6 +386,39 @@ class TestVerify:
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestViolationPath:
+    # No real graph violates the bound: a wrapper lowers every Wiener index by 1.
+    @pytest.fixture(autouse=True)
+    def one_below(self, monkeypatch):
+        from wienerbound import verifier
+
+        real = verifier.evaluate
+
+        def evaluate(g):
+            r = real(g)
+            return bound_report(r.n, r.m, r.d, r.wiener - 1)
+
+        monkeypatch.setattr(verifier, "evaluate", evaluate)
+
+    @pytest.fixture
+    def witnesses(self, tmp_path):
+        f = tmp_path / "w.g6"
+        f.write_text("".join(write_graph6(g) + "\n" for g in (prism(), petersen())))
+        return str(f)
+
+    def test_verify_stream_exits_1(self, capsys, witnesses):
+        code, out, _ = run_cli(["verify", "--stream", witnesses, "--json"], capsys)
+        assert code == 1
+        assert json.loads(out)["violations"] == 2
+        code, out, _ = run_cli(["verify", "--stream", witnesses], capsys)
+        assert code == 1
+        assert out.splitlines()[-1] == f"{'result':<22} BOUND VIOLATED"
+
+    def test_sharpness_exits_1(self, capsys):
+        code, _, _ = run_cli(["scan", "sharpness", "--family", "prism"], capsys)
+        assert code == 1
 
 
 class TestGenerate:

@@ -135,6 +135,11 @@ class TestRandomConnected:
         g2 = random_connected(2, 0.0, seed=0)
         assert g2.edges == frozenset({(0, 1)})
 
+    def test_tree_of_two_draws_nothing(self):
+        rng, twin = SplitMix64(5), SplitMix64(5)
+        assert _random_tree_edges(2, rng) == [(0, 1)]
+        assert rng.next_u64() == twin.next_u64()
+
     def test_bad_probability(self):
         with pytest.raises(ValueError):
             random_connected(5, 1.5, seed=0)

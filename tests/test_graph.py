@@ -134,6 +134,11 @@ class TestGraph6Parse:
         with pytest.raises(Graph6ParseError, match="63..126"):
             parse_graph6(":")
 
+    def test_extended_header_byte_out_of_range(self):
+        # '!' is byte 33, the last of the three extended-header bytes
+        with pytest.raises(Graph6ParseError, match=r"^header byte 33 outside 63\.\.126$"):
+            parse_graph6("~?A!")
+
     def test_data_byte_out_of_range(self):
         with pytest.raises(Graph6ParseError, match="data byte"):
             parse_graph6("B:")

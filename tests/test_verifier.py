@@ -20,8 +20,9 @@ from wienerbound import (
     triangle_property_check,
     write_graph6,
 )
+from wienerbound.bounds import bound_report
 from wienerbound.generators import cycle, path, petersen, prism, random_connected, star
-from wienerbound.verifier import TIGHT_EXAMPLE_CAP, resolve_workers
+from wienerbound.verifier import TIGHT_EXAMPLE_CAP, SweepSummary, resolve_workers
 
 from oracles import to_nx
 
@@ -151,6 +152,23 @@ class TestExhaustiveSweep:
         assert len(summary.tight_examples) == 37
         for g6 in summary.tight_examples:
             assert evaluate(parse_graph6(g6)).tight
+
+
+class TestSweepSummary:
+    def test_violation_counted(self):
+        # P4 has W = bound = 10, so a Wiener index of 9 is a violation
+        def thunk():
+            raise AssertionError("a violating graph is not a tight example")
+
+        summary, other = SweepSummary(), SweepSummary()
+        for s in (summary, other):
+            s.record(bound_report(4, 3, 3, 9), thunk)
+        assert summary.violations == 1
+        assert summary.applicable == 1
+        assert summary.tight_count == 0
+        assert summary.min_gap == summary.max_gap == -1
+        summary.merge(other)
+        assert summary.violations == 2
 
 
 class TestStreamSweep:
