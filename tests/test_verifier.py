@@ -26,8 +26,10 @@ from wienerbound.verifier import TIGHT_EXAMPLE_CAP, SweepSummary, resolve_worker
 
 from oracles import to_nx
 
-# exhaustive labeled sweep totals, frozen from an independent
-# networkx-based enumeration of all edge subsets
+# exhaustive labeled sweep totals; n <= 5 frozen from an independent
+# networkx-based enumeration of all edge subsets, n = 6 and 7 from the
+# per-mask BFS kernel that preceded the bit-sliced one (n = 7 also matches
+# the benchmark's expected totals)
 FROZEN_SWEEPS = {
     3: dict(graphs_checked=8, applicable=3, tight_count=3,
             skipped_disconnected=4, skipped_inapplicable=1,
@@ -38,6 +40,12 @@ FROZEN_SWEEPS = {
     5: dict(graphs_checked=1024, applicable=727, tight_count=607,
             skipped_disconnected=296, skipped_inapplicable=1,
             min_gap=0, max_gap=1),
+    6: dict(graphs_checked=32768, applicable=26703, tight_count=17103,
+            skipped_disconnected=6064, skipped_inapplicable=1,
+            min_gap=0, max_gap=3),
+    7: dict(graphs_checked=2097152, applicable=1866255, tight_count=1047735,
+            skipped_disconnected=230896, skipped_inapplicable=1,
+            min_gap=0, max_gap=8),
 }
 
 
@@ -46,6 +54,7 @@ FROZEN_SWEEPS = {
 FROZEN_TIGHT_EXAMPLES = {
     5: "4d3e24fb10d80a4209d357344abe45443fa23c39289a2dc621ff1f5f86fa71a6",
     6: "86599bc69b2b543e9bdd4b22fb5b94e7fc6250d0a5736b142eef78ece341fcc8",
+    7: "24cd64bbc38a2dd9e7597747897fbec18098945182be335d972053c150909cf4",
 }
 
 
