@@ -136,6 +136,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         _write_json(via)
     elif args.trace:
         per_w = off_path_vertex_excess(d)
+        if args.d is None:
+            sys.stdout.write(
+                f"d_used                  = {d}    [Moore diameter floor, delta = {args.delta}]\n"
+            )
         sys.stdout.write(f"n(n-1)                  = {n * (n - 1)}\n")
         sys.stdout.write(f"- m                     = -{m}\n")
         sys.stdout.write(f"on-path pair excess     = {path_pair_excess(d)}    [d(d-1)(d-2)/6]\n")

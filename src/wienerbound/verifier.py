@@ -4,6 +4,14 @@ triangle-inequality property behind the off-path excess term.
 
 Sweeps aggregate into a commutative-monoid summary, so partitioned parallel
 runs and single-threaded runs produce identical results.
+
+The exhaustive kernel is bit-sliced.  Bit i of a mask is the i-th vertex
+pair, and the kernel evaluates an aligned block of 2**15 consecutive masks at
+once: a plane is one Python int whose bit g stands for the graph of mask
+base + g.  Reach planes grow one BFS level at a time for all pairs, a
+bit-sliced counter sums the distances, and the block's lanes split into
+classes of equal (m, d, W).  Each class takes one ``bound_report`` call and
+one ``SweepSummary.record`` call with its lane count.
 """
 
 from __future__ import annotations
@@ -53,33 +61,35 @@ class SweepSummary:
     skipped_inapplicable: int = 0
     parse_errors: int = 0
 
-    def record(self, report: BoundReport | None, graph6: Callable[[], str]) -> None:
-        """Fold one checked graph into the summary.
+    def record(self, report: BoundReport | None, graph6: Callable[[], str],
+               count: int = 1) -> None:
+        """Fold ``count`` checked graphs that share one report into the summary.
 
         ``None`` stands for a disconnected graph, counted under
         ``skipped_disconnected``; a report that does not apply counts under
         ``skipped_inapplicable``.  ``graph6`` encodes the graph; it is called
-        only for a tight example that is kept.
+        once per tight example that is kept, so ``count=k`` equals k single
+        records.
         """
-        self.graphs_checked += 1
+        self.graphs_checked += count
         if report is None:
-            self.skipped_disconnected += 1
+            self.skipped_disconnected += count
             return
         if not report.applicable:
-            self.skipped_inapplicable += 1
+            self.skipped_inapplicable += count
             return
-        self.applicable += 1
+        self.applicable += count
         gap = report.gap
         if self.min_gap is None or gap < self.min_gap:
             self.min_gap = gap
         if self.max_gap is None or gap > self.max_gap:
             self.max_gap = gap
         if gap < 0:
-            self.violations += 1
+            self.violations += count
         elif gap == 0:
-            self.tight_count += 1
-            if len(self.tight_examples) < TIGHT_EXAMPLE_CAP:
-                self.tight_examples.append(graph6())
+            self.tight_count += count
+            kept = min(count, TIGHT_EXAMPLE_CAP - len(self.tight_examples))
+            self.tight_examples.extend(graph6() for _ in range(kept))
 
     def merge(self, other: "SweepSummary") -> None:
         """Associative, order-respecting fold of a partition's summary."""
@@ -122,62 +132,183 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers or os.cpu_count() or 1
 
 
+# The exhaustive kernel's block: 2**15 masks, so a plane is a 4 KiB int.
+_BLOCK_BITS = 15
+_BLOCK = 1 << _BLOCK_BITS
+_FULL = (1 << _BLOCK) - 1
+
+
+def _lane_pattern(i: int) -> int:
+    """The plane whose bit g is bit i of g, for i < _BLOCK_BITS."""
+    if i < 3:  # the same byte throughout
+        data = bytes([sum(1 << g for g in range(8) if g >> i & 1)]) * (_BLOCK // 8)
+    else:  # runs of 2**(i - 3) zero bytes and as many 0xff bytes
+        run = 1 << (i - 3)
+        data = (bytes(run) + b"\xff" * run) * (_BLOCK // 16 // run)
+    return int.from_bytes(data, "little")
+
+
+def _add(counter: list[int], plane: int) -> None:
+    """Add the 0/1 lanes of ``plane`` to a bit-sliced counter, whose plane b
+    holds bit b of every lane's count."""
+    for b, bit in enumerate(counter):
+        counter[b] = bit ^ plane
+        plane &= bit
+        if not plane:
+            return
+    counter.append(plane)
+
+
+def _weight_planes() -> tuple[int, ...]:
+    """Plane j holds the lanes g with j bits set, j = 0.._BLOCK_BITS."""
+    counter: list[int] = []
+    for plane in _PAIR_PLANES:
+        _add(counter, plane)
+    weights = []
+    for j in range(_BLOCK_BITS + 1):
+        plane = _FULL
+        for b, bit in enumerate(counter):
+            plane &= bit if j >> b & 1 else _FULL ^ bit
+        weights.append(plane)
+    return tuple(weights)
+
+
+_PAIR_PLANES = tuple(_lane_pattern(i) for i in range(_BLOCK_BITS))
+_WEIGHT_PLANES = _weight_planes()
+
+
 def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
     """Evaluate every labeled graph whose edge-subset index lies in [lo, hi).
 
-    Adjacency is kept as per-vertex bitmasks; BFS expands whole frontiers
-    with bitwise or, which keeps the 2^21-graph sweep at n = 7 cheap.  The
-    search from vertex 0 decides connectivity.
+    Mask bit i is the i-th pair of ``combinations(range(n), 2)``.  The range
+    is cut at multiples of ``_BLOCK``, and each block at ``base`` is a set of
+    planes, Python ints whose bit g (the lane g) stands for mask base + g:
+    - the edge plane of pair i < ``_BLOCK_BITS`` is ``_PAIR_PLANES[i]``, set
+      where bit i of g is set, the same pattern in every block;
+    - the edge plane of a higher pair is all ones or all zeros, by bit i of
+      base;
+    - ``live`` holds the lanes inside [lo, hi), so spans need not align.
+    ``_block_classes`` splits the live lanes by (m, d, W) and gives each
+    class its ``bound_report``.  Each class is one ``record`` call with its
+    lane count, except the block's first tight lanes while example room
+    remains: those are recorded one at a time, in mask order, so
+    ``tight_examples`` holds the first tight masks of the range.
     """
     pairs = list(combinations(range(n), 2))
     summary = SweepSummary()
-    reports = {}  # (m, d, W) -> its report; reports are immutable, so masks share them
-    full = (1 << n) - 1
-    for mask in range(lo, hi):
-        adj = [0] * n
-        mm = mask
-        while mm:
-            low = mm & -mm
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            mm ^= low
-        double_wiener = 0
-        diam = 0
-        for src in range(n):
-            seen = 1 << src
-            frontier = seen
-            k = 0
-            while True:
-                nxt = 0
-                t = frontier
-                while t:
-                    low = t & -t
-                    nxt |= adj[low.bit_length() - 1]
-                    t ^= low
-                nxt &= ~seen
-                if not nxt:
+    reports: dict[tuple[int, int, int], BoundReport] = {}
+    for base in range(lo - lo % _BLOCK, hi, _BLOCK):
+        live = (1 << min(hi - base, _BLOCK)) - (1 << max(lo - base, 0))
+        classes = _block_classes(n, pairs, base, live, reports)
+        room = TIGHT_EXAMPLE_CAP - len(summary.tight_examples)
+        first = 0  # the block's first ``room`` tight lanes
+        if room > 0:
+            tight = 0
+            for lanes, report in classes:
+                if report is not None and report.tight:
+                    tight |= lanes
+            for _ in range(room):
+                if not tight:
                     break
-                k += 1
-                double_wiener += k * nxt.bit_count()
-                seen |= nxt
-                frontier = nxt
-            if seen != full:
-                break
-            if k > diam:
-                diam = k
-        if seen != full:
-            report = None
-        else:
-            key = (mask.bit_count(), diam, double_wiener // 2)
-            report = reports.get(key)
-            if report is None:
-                report = reports[key] = bound_report(n, *key)
-        summary.record(
-            report,
-            lambda mask=mask: write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])),
-        )
+                low = tight & -tight
+                first |= low
+                tight ^= low
+            rest = first
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                mask = base + low.bit_length() - 1
+                summary.record(
+                    next(report for lanes, report in classes if lanes & low),
+                    lambda mask=mask: write_graph6(
+                        Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])),
+                )
+        for lanes, report in classes:
+            count = (lanes & ~first).bit_count()
+            if count:
+                summary.record(report, _not_kept, count)
     return summary
+
+
+def _not_kept() -> str:
+    # a class is recorded in bulk only once its block's example room is used up
+    raise AssertionError("a bulk record keeps no tight example")
+
+
+def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
+                   reports: dict[tuple[int, int, int], BoundReport],
+                   ) -> list[tuple[int, BoundReport | None]]:
+    """Split the ``live`` lanes of the block at ``base`` by (m, d, W).
+
+    Returns (lanes, report) per class, with ``None`` for the disconnected
+    lanes.  ``reach[u][v]`` holds the lanes where dist(u, v) <= k; level k + 1
+    ORs ``reach[u][w] & adj[w][v]`` into it.  A lane's diameter is the level
+    at which all its pairs are reached; one still short at level n - 1 is
+    disconnected.  ``counter`` sums the reached pairs of levels 1..k - 1 per
+    lane, so a lane complete at level k has W = k * P - counter over its P
+    pairs.  ``reports`` caches ``bound_report`` by key across blocks.
+    """
+    high = base >> _BLOCK_BITS
+    m_high = high.bit_count()  # the edges of the pair-bits above the block's
+    adj = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        if i < _BLOCK_BITS:
+            plane = _PAIR_PLANES[i]
+        else:
+            plane = _FULL if high >> (i - _BLOCK_BITS) & 1 else 0
+        adj[u][v] = adj[v][u] = plane
+    reach = adj
+    classes = []
+    done = 0  # lanes whose reach became complete at an earlier level
+    counter: list[int] = []
+    for k in range(1, n):
+        complete = live
+        for u, v in pairs:
+            complete &= reach[u][v]
+        newly = complete ^ done
+        for j, weight in enumerate(_WEIGHT_PLANES):
+            by_m = newly & weight
+            if not by_m:
+                continue
+            for lanes, reached in _split(by_m, counter):
+                key = (m_high + j, k, k * len(pairs) - reached)
+                report = reports.get(key)
+                if report is None:
+                    report = reports[key] = bound_report(n, *key)
+                classes.append((lanes, report))
+        done = complete
+        if done == live or k == n - 1:
+            break
+        for u, v in pairs:
+            _add(counter, reach[u][v])
+        nxt = [row[:] for row in reach]
+        for u, v in pairs:
+            row, col = reach[u], adj[v]
+            r = row[v]
+            for w in range(n):
+                if w != u and w != v:
+                    r |= row[w] & col[w]
+            nxt[u][v] = nxt[v][u] = r
+        reach = nxt
+    if done != live:
+        classes.append((live ^ done, None))
+    return classes
+
+
+def _split(lanes: int, counter: list[int]) -> list[tuple[int, int]]:
+    """(lanes, value) for every value ``counter`` holds on ``lanes``."""
+    parts = [(lanes, 0)]
+    for b in range(len(counter) - 1, -1, -1):
+        bit = counter[b]
+        halves = []
+        for part, value in parts:
+            ones = part & bit
+            if ones:
+                halves.append((ones, value | 1 << b))
+            if ones != part:
+                halves.append((part ^ ones, value))
+        parts = halves
+    return parts
 
 
 def _partitioned(sweep: Callable[..., SweepSummary], arg: object, total: int,

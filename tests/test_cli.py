@@ -216,6 +216,7 @@ class TestBound:
             "bound                   = 433\n"
         )),
         (["--n", "11", "--m", "15", "--delta", "3"], (
+            "d_used                  = 3    [Moore diameter floor, delta = 3]\n"
             "n(n-1)                  = 110\n"
             "- m                     = -15\n"
             "on-path pair excess     = 1    [d(d-1)(d-2)/6]\n"
@@ -419,6 +420,16 @@ class TestViolationPath:
     def test_sharpness_exits_1(self, capsys):
         code, _, _ = run_cli(["scan", "sharpness", "--family", "prism"], capsys)
         assert code == 1
+
+    def test_verify_exhaustive_exits_1(self, capsys, monkeypatch):
+        # the exhaustive kernel makes its reports through bound_report, not evaluate
+        from wienerbound import verifier
+
+        real = verifier.bound_report
+        monkeypatch.setattr(verifier, "bound_report", lambda n, m, d, w: real(n, m, d, w - 1))
+        code, out, _ = run_cli(["verify", "--exhaustive", "4", "--threads", "1"], capsys)
+        assert code == 1
+        assert out.splitlines()[-1] == f"{'result':<22} BOUND VIOLATED"
 
 
 class TestGenerate:

@@ -2,7 +2,9 @@ import hashlib
 import multiprocessing
 import os
 import sys
+import tracemalloc
 import types
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -22,7 +24,12 @@ from wienerbound import (
 )
 from wienerbound.bounds import bound_report
 from wienerbound.generators import cycle, path, petersen, prism, random_connected, star
-from wienerbound.verifier import TIGHT_EXAMPLE_CAP, SweepSummary, resolve_workers
+from wienerbound.verifier import (
+    TIGHT_EXAMPLE_CAP,
+    SweepSummary,
+    _sweep_mask_range,
+    resolve_workers,
+)
 
 from oracles import to_nx
 
@@ -154,6 +161,49 @@ class TestExhaustiveSweep:
         assert len(summary.tight_examples) == TIGHT_EXAMPLE_CAP == 100
         assert summary.tight_count == FROZEN_SWEEPS[5]["tight_count"]
 
+    def test_violation_path(self, monkeypatch):
+        # no real graph violates the bound: a wrapper lowers every Wiener index
+        # by 1, so the tight graphs become violations and gap 1 becomes tight
+        from wienerbound import verifier
+
+        real = verifier.bound_report
+        monkeypatch.setattr(verifier, "bound_report", lambda n, m, d, w: real(n, m, d, w - 1))
+        summary = exhaustive_sweep(5, workers=1)
+        assert summary.violations == FROZEN_SWEEPS[5]["tight_count"] == 607
+        assert summary.tight_count == 120
+        assert (summary.min_gap, summary.max_gap) == (-1, 0)
+        assert summary.applicable == FROZEN_SWEEPS[5]["applicable"]
+
+    @pytest.mark.parametrize("n, lo, hi", [
+        (6, 0, 1), (6, 5, 777), (6, 1000, 1001), (6, 12345, 13000),
+        (6, 32000, 32768), (7, 32768 - 300, 32768 + 300),
+    ])
+    def test_span_matches_stream(self, n, lo, hi):
+        # unaligned spans and a block edge against the distance engine's path
+        pairs = list(combinations(range(n), 2))
+        lines = [write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+                 for mask in range(lo, hi)]
+        assert _sweep_mask_range(n, lo, hi).to_dict() == stream_sweep(lines).to_dict()
+
+    def test_workers_agree_at_6(self, fake_pool):
+        expected = exhaustive_sweep(6, workers=1).to_dict()
+        assert exhaustive_sweep(6, workers=3).to_dict() == expected
+        assert fake_pool == [3]
+
+    def test_block_memory_bounded(self):
+        # four blocks of 2**15 masks at n = 7 peak near 0.9 MiB, two live
+        # blocks' planes; one block of 2**17 masks peaks above 2 MiB
+        _sweep_mask_range(7, 0, 1 << 10)  # first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _sweep_mask_range(7, 0, 1 << 17)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 19, peak  # 1.5 MiB
+
     def test_examples_parse_and_are_tight(self):
         from wienerbound import evaluate
 
@@ -164,6 +214,20 @@ class TestExhaustiveSweep:
 
 
 class TestSweepSummary:
+    @pytest.mark.parametrize("d, wiener", [(3, 10), (3, 11), (3, 9), (1, 6), (2, 7)])
+    @pytest.mark.parametrize("k", [1, 3, 150])
+    def test_count_equals_single_records(self, d, wiener, k):
+        # tight (P4), gap 1, violating, not applicable and tight at d = 2
+        report = bound_report(4, 3 if d == 3 else 6 if d == 1 else 5, d, wiener)
+        for report_or_none in (report, None):
+            bulk, single = SweepSummary(), SweepSummary()
+            bulk.tight_examples = ["x"] * 40
+            single.tight_examples = ["x"] * 40
+            bulk.record(report_or_none, lambda: "C~", count=k)
+            for _ in range(k):
+                single.record(report_or_none, lambda: "C~")
+            assert bulk.to_dict() == single.to_dict()
+
     def test_violation_counted(self):
         # P4 has W = bound = 10, so a Wiener index of 9 is a violation
         def thunk():
@@ -236,8 +300,6 @@ class TestStreamSweep:
 
     def test_agrees_with_exhaustive_on_labeled_stream(self):
         # stream every labeled 4-vertex graph in mask order: identical summary
-        from itertools import combinations
-
         pairs = list(combinations(range(4), 2))
         lines = []
         for mask in range(1 << 6):
