@@ -16,6 +16,7 @@ one ``SweepSummary.record`` call with its lane count.
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -135,17 +136,6 @@ def resolve_workers(workers: int | None = None) -> int:
 # The exhaustive kernel's block: 2**15 masks, so a plane is a 4 KiB int.
 _BLOCK_BITS = 15
 _BLOCK = 1 << _BLOCK_BITS
-_FULL = (1 << _BLOCK) - 1
-
-
-def _lane_pattern(i: int) -> int:
-    """The plane whose bit g is bit i of g, for i < _BLOCK_BITS."""
-    if i < 3:  # the same byte throughout
-        data = bytes([sum(1 << g for g in range(8) if g >> i & 1)]) * (_BLOCK // 8)
-    else:  # runs of 2**(i - 3) zero bytes and as many 0xff bytes
-        run = 1 << (i - 3)
-        data = (bytes(run) + b"\xff" * run) * (_BLOCK // 16 // run)
-    return int.from_bytes(data, "little")
 
 
 def _add(counter: list[int], plane: int) -> None:
@@ -159,22 +149,30 @@ def _add(counter: list[int], plane: int) -> None:
     counter.append(plane)
 
 
-def _weight_planes() -> tuple[int, ...]:
-    """Plane j holds the lanes g with j bits set, j = 0.._BLOCK_BITS."""
+@functools.cache
+def _lane_planes() -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The planes every block shares, built on first use: pair plane i holds
+    the lanes g with bit i of g set, i < _BLOCK_BITS, and weight plane j the
+    lanes g with j bits set, j <= _BLOCK_BITS."""
+    pair_planes = []
+    for i in range(_BLOCK_BITS):
+        if i < 3:  # the same byte throughout
+            data = bytes([sum(1 << g for g in range(8) if g >> i & 1)]) * (_BLOCK // 8)
+        else:  # runs of 2**(i - 3) zero bytes and as many 0xff bytes
+            run = 1 << (i - 3)
+            data = (bytes(run) + b"\xff" * run) * (_BLOCK // 16 // run)
+        pair_planes.append(int.from_bytes(data, "little"))
     counter: list[int] = []
-    for plane in _PAIR_PLANES:
+    for plane in pair_planes:
         _add(counter, plane)
-    weights = []
+    full = (1 << _BLOCK) - 1
+    weight_planes = []
     for j in range(_BLOCK_BITS + 1):
-        plane = _FULL
+        plane = full
         for b, bit in enumerate(counter):
-            plane &= bit if j >> b & 1 else _FULL ^ bit
-        weights.append(plane)
-    return tuple(weights)
-
-
-_PAIR_PLANES = tuple(_lane_pattern(i) for i in range(_BLOCK_BITS))
-_WEIGHT_PLANES = _weight_planes()
+            plane &= bit if j >> b & 1 else full ^ bit
+        weight_planes.append(plane)
+    return tuple(pair_planes), tuple(weight_planes)
 
 
 def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
@@ -183,8 +181,8 @@ def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
     Mask bit i is the i-th pair of ``combinations(range(n), 2)``.  The range
     is cut at multiples of ``_BLOCK``, and each block at ``base`` is a set of
     planes, Python ints whose bit g (the lane g) stands for mask base + g:
-    - the edge plane of pair i < ``_BLOCK_BITS`` is ``_PAIR_PLANES[i]``, set
-      where bit i of g is set, the same pattern in every block;
+    - the edge plane of pair i < ``_BLOCK_BITS`` is pair plane i of
+      ``_lane_planes``, set where bit i of g is set, the same in every block;
     - the edge plane of a higher pair is all ones or all zeros, by bit i of
       base;
     - ``live`` holds the lanes inside [lo, hi), so spans need not align.
@@ -200,23 +198,16 @@ def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
     for base in range(lo - lo % _BLOCK, hi, _BLOCK):
         live = (1 << min(hi - base, _BLOCK)) - (1 << max(lo - base, 0))
         classes = _block_classes(n, pairs, base, live, reports)
-        room = TIGHT_EXAMPLE_CAP - len(summary.tight_examples)
-        first = 0  # the block's first ``room`` tight lanes
-        if room > 0:
+        first = 0  # the tight lanes recorded one at a time
+        if len(summary.tight_examples) < TIGHT_EXAMPLE_CAP:
             tight = 0
             for lanes, report in classes:
                 if report is not None and report.tight:
                     tight |= lanes
-            for _ in range(room):
-                if not tight:
-                    break
+            while tight and len(summary.tight_examples) < TIGHT_EXAMPLE_CAP:
                 low = tight & -tight
-                first |= low
                 tight ^= low
-            rest = first
-            while rest:
-                low = rest & -rest
-                rest ^= low
+                first |= low
                 mask = base + low.bit_length() - 1
                 summary.record(
                     next(report for lanes, report in classes if lanes & low),
@@ -248,14 +239,15 @@ def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
     lane, so a lane complete at level k has W = k * P - counter over its P
     pairs.  ``reports`` caches ``bound_report`` by key across blocks.
     """
+    pair_planes, weight_planes = _lane_planes()
     high = base >> _BLOCK_BITS
     m_high = high.bit_count()  # the edges of the pair-bits above the block's
     adj = [[0] * n for _ in range(n)]
     for i, (u, v) in enumerate(pairs):
         if i < _BLOCK_BITS:
-            plane = _PAIR_PLANES[i]
+            plane = pair_planes[i]
         else:
-            plane = _FULL if high >> (i - _BLOCK_BITS) & 1 else 0
+            plane = (1 << _BLOCK) - 1 if high >> (i - _BLOCK_BITS) & 1 else 0
         adj[u][v] = adj[v][u] = plane
     reach = adj
     classes = []
@@ -266,7 +258,7 @@ def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
         for u, v in pairs:
             complete &= reach[u][v]
         newly = complete ^ done
-        for j, weight in enumerate(_WEIGHT_PLANES):
+        for j, weight in enumerate(weight_planes):
             by_m = newly & weight
             if not by_m:
                 continue

@@ -193,7 +193,7 @@ class TestExhaustiveSweep:
     def test_block_memory_bounded(self):
         # four blocks of 2**15 masks at n = 7 peak near 0.9 MiB, two live
         # blocks' planes; one block of 2**17 masks peaks above 2 MiB
-        _sweep_mask_range(7, 0, 1 << 10)  # first-call allocations are not the kernel's
+        _sweep_mask_range(7, 0, 1 << 10)  # builds the cached planes every block shares
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
