@@ -214,19 +214,23 @@ class TestExhaustiveSweep:
 
 
 class TestSweepSummary:
-    @pytest.mark.parametrize("d, wiener", [(3, 10), (3, 11), (3, 9), (1, 6), (2, 7)])
+    @pytest.mark.parametrize("report", [
+        bound_report(4, 3, 3, 10),  # tight: P4
+        bound_report(4, 3, 3, 11),  # gap 1
+        bound_report(4, 3, 3, 9),  # violation
+        bound_report(4, 6, 1, 6),  # not applicable: K4
+        bound_report(4, 5, 2, 7),  # tight at d = 2
+        None,  # disconnected
+    ])
     @pytest.mark.parametrize("k", [1, 3, 150])
-    def test_count_equals_single_records(self, d, wiener, k):
-        # tight (P4), gap 1, violating, not applicable and tight at d = 2
-        report = bound_report(4, 3 if d == 3 else 6 if d == 1 else 5, d, wiener)
-        for report_or_none in (report, None):
-            bulk, single = SweepSummary(), SweepSummary()
-            bulk.tight_examples = ["x"] * 40
-            single.tight_examples = ["x"] * 40
-            bulk.record(report_or_none, lambda: "C~", count=k)
-            for _ in range(k):
-                single.record(report_or_none, lambda: "C~")
-            assert bulk.to_dict() == single.to_dict()
+    def test_count_equals_single_records(self, report, k):
+        # with 40 examples kept, k = 150 runs out of example room
+        bulk = SweepSummary(tight_examples=["x"] * 40)
+        single = SweepSummary(tight_examples=["x"] * 40)
+        bulk.record(report, lambda: "C~", count=k)
+        for _ in range(k):
+            single.record(report, lambda: "C~")
+        assert bulk.to_dict() == single.to_dict()
 
     def test_violation_counted(self):
         # P4 has W = bound = 10, so a Wiener index of 9 is a violation
