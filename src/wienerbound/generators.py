@@ -3,13 +3,15 @@
 The named sharpness witnesses are paths, stars, the triangular prism (the
 Cartesian product of a triangle and an edge) and the Petersen graph.  Random
 graphs are a uniform labeled tree (random Pruefer sequence) plus independent
-extra edges, so connectivity holds at every density.
+extra edges, so connectivity holds at every density; the random sweep draws
+the same graphs as adjacency bit-matrices, without a ``Graph``.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import chain, combinations, compress
+from typing import Iterator
 
 from .graph import Graph, _pair_at
 from .rng import SplitMix64
@@ -100,6 +102,16 @@ def _random_tree_edges(n: int, rng: SplitMix64) -> list[tuple[int, int]]:
     return edges
 
 
+def _random_draws(n: int, p: float, seed: int) -> tuple[list[tuple[int, int]], Iterator[bytes]]:
+    """The draws of ``random_connected``: the tree's edges from the first
+    split of the seed, and one flag per pair of ``combinations(range(n), 2)``,
+    as ``SplitMix64.chances`` blocks, from the second.  One draw per pair, so
+    the stream layout is independent of the tree."""
+    root = SplitMix64(seed)
+    tree = _random_tree_edges(n, root.split())
+    return tree, root.split().chances(p, n * (n - 1) // 2)
+
+
 def random_connected(n: int, extra_edge_probability: float, seed: int) -> Graph:
     """Random connected graph: uniform labeled tree plus each non-tree pair
     independently with the given probability.  Deterministic per seed.
@@ -113,15 +125,40 @@ def random_connected(n: int, extra_edge_probability: float, seed: int) -> Graph:
         raise ValueError(f"requires n >= 1, got {n}")
     if not 0.0 <= extra_edge_probability <= 1.0:
         raise ValueError("extra edge probability must be in [0, 1]")
-    root = SplitMix64(seed)
-    tree_rng = root.split()
-    edges = _random_tree_edges(n, tree_rng)
-    # One draw per pair, so the stream layout is independent of the tree.
+    edges, flags = _random_draws(n, extra_edge_probability, seed)
     # One compress over the chained blocks: compress pulls its next pair
     # before its next flag, so one compress per block would drop a pair.
-    flags = root.split().chances(extra_edge_probability, n * (n - 1) // 2)
     edges.extend(compress(combinations(range(n), 2), chain.from_iterable(flags)))
     return Graph(n, edges)
+
+
+# 0/1 matrix bytes to the digits of ``int(..., 2)``
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _random_matrix(n: int, p: float, seed: int) -> int:
+    """The adjacency of ``random_connected(n, p, seed)`` as one n*n-bit int
+    with stride n, drawn without pairs or a ``Graph``.
+
+    The draws fill an n-by-n 0/1 bytearray: the pair flags by row slices of
+    the upper triangle, the tree edges one entry each way, then the lower
+    triangle from the strided columns.  The bytes read most significant
+    first, which maps vertex u to n - 1 - u: a relabeling, so every distance
+    count is that of the drawn graph.
+    """
+    tree, flags = _random_draws(n, p, seed)
+    upper = b"".join(flags)
+    mat = bytearray(n * n)
+    start = 0
+    for u in range(n - 1):
+        stop = start + n - 1 - u
+        mat[u * n + u + 1:(u + 1) * n] = upper[start:stop]
+        start = stop
+    for u, v in tree:
+        mat[u * n + v] = mat[v * n + u] = 1
+    for v in range(1, n):
+        mat[v * n:v * n + v] = mat[v:v * n:n]
+    return int(mat.translate(_BINARY_DIGITS), 2)
 
 
 def random_connected_m(n: int, m: int, seed: int) -> Graph:

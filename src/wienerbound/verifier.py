@@ -12,6 +12,13 @@ base + g.  Reach planes grow one BFS level at a time for all pairs, a
 bit-sliced counter sums the distances, and the block's lanes split into
 classes of equal (m, d, W).  Each class takes one ``bound_report`` call and
 one ``SweepSummary.record`` call with its lane count.
+
+The random sweep's kernel builds no ``Graph`` for orders up to 62.  It makes
+``random_connected``'s draws into one n*n-bit adjacency int, and bit-matrix
+products grow every vertex's BFS ball at once, one level per round, giving
+(m, d, W) for one ``bound_report`` call; a tight example that is kept draws
+its ``Graph`` again for the graph6 line.  Larger orders, where long diameters
+make the products slower than the distance engine, go through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Callable, Iterable, Iterator
 from . import generators
 from .bounds import BoundReport, bound_report, evaluate, wiener_lower_bound
 from .errors import DisconnectedGraphError, NotApplicableError
-from .graph import Graph, _bfs, read_graph6, write_graph6
+from .graph import _G6_SMALL_MAX, Graph, _bfs, read_graph6, write_graph6
 from .metrics import diametral_path
 from .rng import stream
 
@@ -368,6 +375,17 @@ def stream_sweep(lines: Iterable[str], skip_bad: bool = False) -> SweepSummary:
     return _fold(read_graph6(lines, skip_bad))
 
 
+def _instance(max_order: int, seed: int, i: int) -> tuple[int, float, int]:
+    """Order, extra-edge probability and graph seed of corpus instance i.
+
+    Instance i depends only on ``stream(seed, i)``, so index ranges partition
+    the corpus."""
+    rng = stream(seed, i)
+    order = 3 + rng.below(max_order - 2)
+    prob = rng.below(101) / 100
+    return order, prob, rng.next_u64()
+
+
 def iter_random_corpus(count: int, max_order: int, seed: int) -> Iterator[Graph]:
     """The seeded mixed-density corpus behind ``random_sweep``.
 
@@ -380,22 +398,75 @@ def iter_random_corpus(count: int, max_order: int, seed: int) -> Iterator[Graph]
         raise ValueError(f"count must be nonnegative, got {count}")
     if max_order < 3:
         raise ValueError(f"max order must be >= 3, got {max_order}")
-    return _random_graphs(max_order, seed, 0, count)
+    return (generators.random_connected(*_instance(max_order, seed, i)) for i in range(count))
 
 
-def _random_graphs(max_order: int, seed: int, lo: int, hi: int) -> Iterator[Graph]:
-    # instance i depends only on stream(seed, i), so index ranges partition the corpus
-    for i in range(lo, hi):
-        rng = stream(seed, i)
-        order = 3 + rng.below(max_order - 2)
-        prob = rng.below(101) / 100
-        yield generators.random_connected(order, prob, seed=rng.next_u64())
+@functools.cache
+def _matrix_masks(n: int) -> tuple[int, int, int]:
+    """Bit 0 of every row, the diagonal and all bits of an n-by-n bit-matrix
+    with stride n, built on first use."""
+    col = int(("0" * (n - 1) + "1") * n, 2)
+    diag = int(("0" * n + "1") * n, 2)
+    return col, diag, (1 << n * n) - 1
+
+
+def _matrix_distances(n: int, adj: int) -> tuple[int, int, int]:
+    """(m, d, W) of the graph whose symmetric adjacency bit-matrix is ``adj``,
+    bit u*n + v standing for the pair (u, v), n >= 2.
+
+    Row u of ``ball`` holds the vertices within distance k of u, and row u of
+    ``frontier`` those at distance exactly k.  One level ORs row w of ``adj``
+    into every row whose frontier holds w: ``(frontier >> w) & col`` marks
+    those rows at their bit 0, and one product copies row w into each, with
+    no carries since row w is below 2**n.  The ordered pairs found at level
+    k count k each towards 2W; a level that finds none leaves the graph
+    disconnected.
+    """
+    col, diag, full = _matrix_masks(n)
+    row_bits = (1 << n) - 1
+    rows = [adj >> w * n & row_bits for w in range(n)]
+    ball = diag | adj
+    frontier = adj
+    k = 1
+    ordered = adj.bit_count()  # 2m, the ordered pairs at distance 1
+    m = ordered >> 1
+    while ball != full:
+        k += 1
+        reached = 0
+        for w, r in enumerate(rows):
+            marks = frontier >> w & col
+            if marks:
+                reached |= marks * r
+        frontier = reached & ~ball
+        if not frontier:
+            raise DisconnectedGraphError("graph is not connected")
+        ball |= frontier
+        ordered += k * frontier.bit_count()
+    return m, k, ordered >> 1
+
+
+def _corpus_report(n: int, p: float, seed: int) -> tuple[BoundReport, Callable[[], str]]:
+    """The report on ``random_connected(n, p, seed)`` and its graph6 thunk.
+
+    An order up to ``_G6_SMALL_MAX`` goes through the bit-matrix kernel, and
+    the thunk draws the ``Graph`` again, for a tight example that is kept;
+    a larger order goes through ``evaluate``.  At 62 vertices a tree takes
+    about as long either way, and the kernel's cost grows faster beyond.
+    """
+    if n > _G6_SMALL_MAX:
+        g = generators.random_connected(n, p, seed)
+        return evaluate(g), lambda: write_graph6(g)
+    report = bound_report(n, *_matrix_distances(n, generators._random_matrix(n, p, seed)))
+    return report, lambda: write_graph6(generators.random_connected(n, p, seed))
 
 
 def _random_range(corpus: tuple[int, int], lo: int, hi: int) -> SweepSummary:
     """Sweep instances [lo, hi) of the ``(max_order, seed)`` corpus; a worker
     draws its own graphs, so none is pickled."""
-    return _fold(_random_graphs(*corpus, lo, hi))
+    summary = SweepSummary()
+    for i in range(lo, hi):
+        summary.record(*_corpus_report(*_instance(*corpus, i)))
+    return summary
 
 
 def random_sweep(count: int, max_order: int, seed: int, workers: int | None = None) -> SweepSummary:

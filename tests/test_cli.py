@@ -431,6 +431,16 @@ class TestViolationPath:
         assert code == 1
         assert out.splitlines()[-1] == f"{'result':<22} BOUND VIOLATED"
 
+    def test_verify_random_exits_1(self, capsys, monkeypatch):
+        # below order 63 the random sweep's kernel reports through bound_report too
+        from wienerbound import verifier
+
+        real = verifier.bound_report
+        monkeypatch.setattr(verifier, "bound_report", lambda n, m, d, w: real(n, m, d, w - 1))
+        code, out, _ = run_cli(["verify", "--random", "40", "--order", "12", "--threads", "1"], capsys)
+        assert code == 1
+        assert out.splitlines()[-1] == f"{'result':<22} BOUND VIOLATED"
+
 
 class TestGenerate:
     def test_path_edgelist_golden(self, capsys):

@@ -1,18 +1,22 @@
 import hashlib
 import multiprocessing
 import os
+import subprocess
 import sys
 import tracemalloc
 import types
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
 from wienerbound import (
+    DisconnectedGraphError,
     Graph,
     Graph6ParseError,
     NotApplicableError,
+    evaluate,
     exhaustive_sweep,
     monotonicity_scan,
     parse_graph6,
@@ -23,15 +27,29 @@ from wienerbound import (
     write_graph6,
 )
 from wienerbound.bounds import bound_report
-from wienerbound.generators import cycle, path, petersen, prism, random_connected, star
+from wienerbound.generators import (
+    _random_matrix,
+    cycle,
+    path,
+    petersen,
+    prism,
+    random_connected,
+    star,
+)
 from wienerbound.verifier import (
     TIGHT_EXAMPLE_CAP,
     SweepSummary,
+    _corpus_report,
+    _fold,
+    _matrix_distances,
     _sweep_mask_range,
+    iter_random_corpus,
     resolve_workers,
 )
 
 from oracles import to_nx
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # exhaustive labeled sweep totals; n <= 5 frozen from an independent
 # networkx-based enumeration of all edge subsets, n = 6 and 7 from the
@@ -205,8 +223,6 @@ class TestExhaustiveSweep:
         assert peak < 3 << 19, peak  # 1.5 MiB
 
     def test_examples_parse_and_are_tight(self):
-        from wienerbound import evaluate
-
         summary = exhaustive_sweep(4, workers=1)
         assert len(summary.tight_examples) == 37
         for g6 in summary.tight_examples:
@@ -367,6 +383,68 @@ class TestRandomSweep:
         assert random_sweep(0, 50, 0).graphs_checked == 0
         assert random_sweep(1, 50, 0).graphs_checked == 1
         assert fake_pool == []
+
+
+class TestRandomKernel:
+    # the bit-matrix kernel against the Graph path: orders above 62 take the
+    # Graph path in the sweep, and both paths are checked there too
+    @pytest.mark.parametrize("n", range(3, 71))
+    def test_matches_evaluate(self, n):
+        for p in (0.0, 0.01, 0.5, 1.0):
+            for seed in range(3):
+                g = random_connected(n, p, seed)
+                expected = evaluate(g)
+                kernel = _matrix_distances(n, _random_matrix(n, p, seed))
+                assert kernel == (expected.m, expected.d, expected.wiener), (p, seed)
+                report, graph6 = _corpus_report(n, p, seed)
+                assert report == expected, (p, seed)
+                assert graph6() == write_graph6(g)
+
+    def test_disconnected_matrix_raises(self):
+        # two disjoint edges, (0, 1) and (2, 3), at stride 4
+        adj = sum(1 << (u * 4 + v) for u, v in ((0, 1), (1, 0), (2, 3), (3, 2)))
+        with pytest.raises(DisconnectedGraphError):
+            _matrix_distances(4, adj)
+
+    def test_sweep_matches_graph_path(self, fake_pool):
+        # orders 3..70 cross the fallback at 62
+        expected = _fold(iter_random_corpus(300, 70, 4)).to_dict()
+        for workers in (1, 2, 3):
+            assert random_sweep(300, 70, seed=4, workers=workers).to_dict() == expected, workers
+        assert fake_pool == [2, 3]
+
+    def test_graph_free(self, monkeypatch):
+        # below order 63 a Graph is built only for a tight example that is kept
+        from wienerbound import generators, verifier
+
+        calls = {"random_connected": 0, "Graph": 0, "write_graph6": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(generators, "random_connected",
+                            counted("random_connected", generators.random_connected))
+        monkeypatch.setattr(Graph, "__init__", counted("Graph", Graph.__init__))
+        monkeypatch.setattr(verifier, "write_graph6", counted("write_graph6", verifier.write_graph6))
+        summary = random_sweep(500, 50, 0, workers=1)
+        assert summary.graphs_checked == 500
+        assert calls["random_connected"] <= TIGHT_EXAMPLE_CAP
+        assert calls["Graph"] <= TIGHT_EXAMPLE_CAP
+        assert calls["write_graph6"] == len(summary.tight_examples) == TIGHT_EXAMPLE_CAP
+
+    def test_no_tables_without_work(self):
+        # `verify --random 0` is the benchmark's setup command: importing and
+        # an empty sweep build no per-order masks
+        code = ("from wienerbound import cli, verifier; "
+                "verifier.random_sweep(0, 50, 0); "
+                "print(verifier._matrix_masks.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "0\n"
 
 
 class TestSharpnessScan:
