@@ -3,8 +3,9 @@ diametral paths, and the on-path/off-path pair partition.
 
 Everything is exact integer arithmetic.  One pass over all sources yields both
 the distance distribution and the eccentricities, without materializing an
-n-by-n table.  There is one engine for every order, in the standard library:
-a bit-parallel multi-source BFS with one Python int per vertex, whose bit j
+n-by-n table.  There is one engine for every ``Graph``, in the standard
+library (the two sweep kernels in ``verifier`` take no ``Graph``): a
+bit-parallel multi-source BFS with one Python int per vertex, whose bit j
 marks source j of the current block as reached.  A block holds up to
 ``_ROW_BITS // n`` sources, so one list of rows holds at most 2^27 bits
 (16 MiB); at n = 10,000 every source fits in one block.  Each level costs

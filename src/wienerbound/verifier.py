@@ -8,10 +8,11 @@ runs and single-threaded runs produce identical results.
 The exhaustive kernel is bit-sliced.  Bit i of a mask is the i-th vertex
 pair, and the kernel evaluates an aligned block of 2**15 consecutive masks at
 once: a plane is one Python int whose bit g stands for the graph of mask
-base + g.  Reach planes grow one BFS level at a time for all pairs, a
-bit-sliced counter sums the distances, and the block's lanes split into
-classes of equal (m, d, W).  Each class takes one ``bound_report`` call and
-one ``SweepSummary.record`` call with its lane count.
+base + g.  Reach planes grow one BFS level at a time for all pairs,
+bit-sliced counters sum each lane's edges and distances, and the block's
+lanes split into classes of equal (m, d, W).  Each class takes one
+``bound_report`` call and one ``SweepSummary.record`` call with its lane
+count.
 
 The random sweep's kernel builds no ``Graph`` for orders up to 62.  It makes
 ``random_connected``'s draws into one n*n-bit adjacency int, and bit-matrix
@@ -157,29 +158,19 @@ def _add(counter: list[int], plane: int) -> None:
 
 
 @functools.cache
-def _lane_planes() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The planes every block shares, built on first use: pair plane i holds
-    the lanes g with bit i of g set, i < _BLOCK_BITS, and weight plane j the
-    lanes g with j bits set, j <= _BLOCK_BITS."""
-    pair_planes = []
+def _pair_planes() -> tuple[int, ...]:
+    """The planes every block shares, built on first use: plane i holds the
+    lanes g with bit i of g set, i < _BLOCK_BITS, as runs of 2**i zero bits
+    and 2**i one bits."""
+    planes = []
     for i in range(_BLOCK_BITS):
-        if i < 3:  # the same byte throughout
-            data = bytes([sum(1 << g for g in range(8) if g >> i & 1)]) * (_BLOCK // 8)
-        else:  # runs of 2**(i - 3) zero bytes and as many 0xff bytes
-            run = 1 << (i - 3)
-            data = (bytes(run) + b"\xff" * run) * (_BLOCK // 16 // run)
-        pair_planes.append(int.from_bytes(data, "little"))
-    counter: list[int] = []
-    for plane in pair_planes:
-        _add(counter, plane)
-    full = (1 << _BLOCK) - 1
-    weight_planes = []
-    for j in range(_BLOCK_BITS + 1):
-        plane = full
-        for b, bit in enumerate(counter):
-            plane &= bit if j >> b & 1 else full ^ bit
-        weight_planes.append(plane)
-    return tuple(pair_planes), tuple(weight_planes)
+        run = 1 << i
+        plane, width = ((1 << run) - 1) << run, 2 * run
+        while width < _BLOCK:  # double the pattern until it fills the block
+            plane |= plane << width
+            width *= 2
+        planes.append(plane)
+    return tuple(planes)
 
 
 def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
@@ -188,8 +179,8 @@ def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
     Mask bit i is the i-th pair of ``combinations(range(n), 2)``.  The range
     is cut at multiples of ``_BLOCK``, and each block at ``base`` is a set of
     planes, Python ints whose bit g (the lane g) stands for mask base + g:
-    - the edge plane of pair i < ``_BLOCK_BITS`` is pair plane i of
-      ``_lane_planes``, set where bit i of g is set, the same in every block;
+    - the edge plane of pair i < ``_BLOCK_BITS`` is plane i of
+      ``_pair_planes``, set where bit i of g is set, the same in every block;
     - the edge plane of a higher pair is all ones or all zeros, by bit i of
       base;
     - ``live`` holds the lanes inside [lo, hi), so spans need not align.
@@ -239,23 +230,27 @@ def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
     """Split the ``live`` lanes of the block at ``base`` by (m, d, W).
 
     Returns (lanes, report) per class, with ``None`` for the disconnected
-    lanes.  ``reach[u][v]`` holds the lanes where dist(u, v) <= k; level k + 1
-    ORs ``reach[u][w] & adj[w][v]`` into it.  A lane's diameter is the level
-    at which all its pairs are reached; one still short at level n - 1 is
-    disconnected.  ``counter`` sums the reached pairs of levels 1..k - 1 per
-    lane, so a lane complete at level k has W = k * P - counter over its P
-    pairs.  ``reports`` caches ``bound_report`` by key across blocks.
+    lanes.  m and W come from the same idiom, a bit-sliced counter that
+    ``_add`` sums planes into and ``_split`` reads per lane: ``sizes`` sums
+    the edge planes, so it holds every lane's m.  ``reach[u][v]`` holds the
+    lanes where dist(u, v) <= k; level k + 1 ORs ``reach[u][w] & adj[w][v]``
+    into it.  A lane's diameter is the level at which all its pairs are
+    reached; one still short at level n - 1 is disconnected.  ``counter``
+    sums the reached pairs of levels 1..k - 1 per lane, so a lane complete at
+    level k has W = k * P - counter over its P pairs.  ``reports`` caches
+    ``bound_report`` by key across blocks.
     """
-    pair_planes, weight_planes = _lane_planes()
+    pair_planes = _pair_planes()
     high = base >> _BLOCK_BITS
-    m_high = high.bit_count()  # the edges of the pair-bits above the block's
     adj = [[0] * n for _ in range(n)]
+    sizes: list[int] = []
     for i, (u, v) in enumerate(pairs):
         if i < _BLOCK_BITS:
             plane = pair_planes[i]
         else:
             plane = (1 << _BLOCK) - 1 if high >> (i - _BLOCK_BITS) & 1 else 0
         adj[u][v] = adj[v][u] = plane
+        _add(sizes, plane)
     reach = adj
     classes = []
     done = 0  # lanes whose reach became complete at an earlier level
@@ -264,13 +259,9 @@ def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
         complete = live
         for u, v in pairs:
             complete &= reach[u][v]
-        newly = complete ^ done
-        for j, weight in enumerate(weight_planes):
-            by_m = newly & weight
-            if not by_m:
-                continue
-            for lanes, reached in _split(by_m, counter):
-                key = (m_high + j, k, k * len(pairs) - reached)
+        for part, m in _split(complete ^ done, sizes):
+            for lanes, reached in _split(part, counter):
+                key = (m, k, k * len(pairs) - reached)
                 report = reports.get(key)
                 if report is None:
                     report = reports[key] = bound_report(n, *key)
@@ -295,8 +286,9 @@ def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
 
 
 def _split(lanes: int, counter: list[int]) -> list[tuple[int, int]]:
-    """(lanes, value) for every value ``counter`` holds on ``lanes``."""
-    parts = [(lanes, 0)]
+    """(lanes, value) for every value ``counter`` holds on ``lanes``; none for
+    no lanes."""
+    parts = [(lanes, 0)] if lanes else []
     for b in range(len(counter) - 1, -1, -1):
         bit = counter[b]
         halves = []

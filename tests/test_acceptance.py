@@ -199,7 +199,9 @@ def test_criterion_11_graph6_round_trip():
         assert parse_graph6(write_graph6(g)) == g
         count += 1
     # criterion 2 graphs: every connected labeled graph of order 3..7
+    connected = {}
     for n in range(3, 8):
+        connected[n] = 0
         pairs = list(combinations(range(n), 2))
         full = (1 << n) - 1
         for mask in range(1 << len(pairs)):
@@ -226,7 +228,10 @@ def test_criterion_11_graph6_round_trip():
                 continue
             g = Graph(n, (pairs[i] for i in range(len(pairs)) if mask >> i & 1))
             assert parse_graph6(write_graph6(g)) == g
+            connected[n] += 1
             count += 1
+    # connected labeled graphs on n vertices, OEIS A001187
+    assert connected == {3: 4, 4: 38, 5: 728, 6: 26_704, 7: 1_866_256}
     # criterion 3 graphs: the same seeded random corpus
     for g in iter_random_corpus(RANDOM_COUNT, RANDOM_MAX_ORDER, seed=SEED):
         assert parse_graph6(write_graph6(g)) == g

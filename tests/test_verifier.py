@@ -195,6 +195,9 @@ class TestExhaustiveSweep:
     @pytest.mark.parametrize("n, lo, hi", [
         (6, 0, 1), (6, 5, 777), (6, 1000, 1001), (6, 12345, 13000),
         (6, 32000, 32768), (7, 32768 - 300, 32768 + 300),
+        # n = 8 has 13 pair-bits above the block's: none, the lowest, all and a mix set
+        (8, 5, 605), (8, 32768 - 300, 32768 + 300), (8, 2**28 - 600, 2**28),
+        (8, (0b1010101010101 << 15) + 77, (0b1010101010101 << 15) + 700),
     ])
     def test_span_matches_stream(self, n, lo, hi):
         # unaligned spans and a block edge against the distance engine's path
@@ -437,14 +440,15 @@ class TestRandomKernel:
 
     def test_no_tables_without_work(self):
         # `verify --random 0` is the benchmark's setup command: importing and
-        # an empty sweep build no per-order masks
+        # an empty sweep build no per-order masks and no exhaustive planes
         code = ("from wienerbound import cli, verifier; "
                 "verifier.random_sweep(0, 50, 0); "
-                "print(verifier._matrix_masks.cache_info().currsize)")
+                "print(verifier._matrix_masks.cache_info().currsize, "
+                "verifier._pair_planes.cache_info().currsize)")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out == "0\n"
+        assert out == "0 0\n"
 
 
 class TestSharpnessScan:
