@@ -174,6 +174,15 @@ class TestExhaustiveSweep:
             assert digest == FROZEN_TIGHT_EXAMPLES[n], workers
         assert fake_pool == [3]
 
+    def test_frozen_tight_examples_at_8(self):
+        # block 0 holds more than 100 tight lanes, so its examples are those
+        # of the full 2**28-mask sweep, whose totals stay outside tier-1
+        summary = _sweep_mask_range(8, 0, 1 << 15)
+        assert summary.tight_count == 942
+        assert len(summary.tight_examples) == 100
+        digest = hashlib.sha256("\n".join(summary.tight_examples).encode()).hexdigest()
+        assert digest == "ec39fb5ef2a13c6c9381fa181a10d09855accdf1abc2f4b4eb84589638e7dd48"
+
     def test_tight_example_cap(self):
         summary = exhaustive_sweep(5, workers=1)
         assert len(summary.tight_examples) == TIGHT_EXAMPLE_CAP == 100
