@@ -10,9 +10,9 @@ pair, and the kernel evaluates an aligned block of 2**15 consecutive masks at
 once: a plane is one Python int whose bit g stands for the graph of mask
 base + g.  Reach planes grow one BFS level at a time for all pairs,
 bit-sliced counters sum each lane's edges and distances, and the block's
-lanes split into classes of equal (m, d, W).  Each class takes one
-``bound_report`` call and one ``SweepSummary.record`` call with its lane
-count.
+lanes split into classes of equal (m, d, W).  Each class is one
+``SweepSummary.record`` call with its lane count and one ``bound_report``
+call, cached over the span of masks the kernel sweeps.
 
 The random sweep's kernel builds no ``Graph`` for orders up to 62.  It makes
 ``random_connected``'s draws into one n*n-bit adjacency int, and bit-matrix
@@ -78,8 +78,12 @@ class SweepSummary:
         ``skipped_disconnected``; a report that does not apply counts under
         ``skipped_inapplicable``.  ``graph6`` encodes the graph; it is called
         once per tight example that is kept, so ``count=k`` equals k single
-        records.
+        records; ``count=0`` changes nothing, and a negative count is an error.
         """
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        if not count:
+            return
         self.graphs_checked += count
         if report is None:
             self.skipped_disconnected += count
@@ -184,52 +188,44 @@ def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
     - the edge plane of a higher pair is all ones or all zeros, by bit i of
       base;
     - ``live`` holds the lanes inside [lo, hi), so spans need not align.
-    ``_block_classes`` splits the live lanes by (m, d, W) and gives each
-    class its ``bound_report``.  Each class is one ``record`` call with its
-    lane count, except the block's first tight lanes while example room
-    remains: those are recorded one at a time, in mask order, so
-    ``tight_examples`` holds the first tight masks of the range.
+    ``_block_classes`` splits the live lanes by (m, d, W), and each class is
+    one ``record`` call with its lane count and the ``bound_report`` of its
+    key, cached over the span.  A block's classes share one graph6 source,
+    which encodes the block's tight lanes in mask order, so the examples
+    ``record`` keeps are the first tight masks of the range, whichever class
+    asks for them.
     """
     pairs = list(combinations(range(n), 2))
     summary = SweepSummary()
-    reports: dict[tuple[int, int, int], BoundReport] = {}
+    report_of = functools.cache(bound_report)
     for base in range(lo - lo % _BLOCK, hi, _BLOCK):
         live = (1 << min(hi - base, _BLOCK)) - (1 << max(lo - base, 0))
-        classes = _block_classes(n, pairs, base, live, reports)
-        first = 0  # the tight lanes recorded one at a time
-        if len(summary.tight_examples) < TIGHT_EXAMPLE_CAP:
-            tight = 0
-            for lanes, report in classes:
-                if report is not None and report.tight:
-                    tight |= lanes
-            while tight and len(summary.tight_examples) < TIGHT_EXAMPLE_CAP:
-                low = tight & -tight
-                tight ^= low
-                first |= low
-                mask = base + low.bit_length() - 1
-                summary.record(
-                    next(report for lanes, report in classes if lanes & low),
-                    lambda mask=mask: write_graph6(
-                        Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])),
-                )
+        classes = [(lanes, None if key is None else report_of(n, *key))
+                   for lanes, key in _block_classes(n, pairs, base, live)]
+        examples = _lane_graph6(n, pairs, base, classes)
         for lanes, report in classes:
-            count = (lanes & ~first).bit_count()
-            if count:
-                summary.record(report, _not_kept, count)
+            summary.record(report, examples.__next__, lanes.bit_count())
     return summary
 
 
-def _not_kept() -> str:
-    # a class is recorded in bulk only once its block's example room is used up
-    raise AssertionError("a bulk record keeps no tight example")
+def _lane_graph6(n: int, pairs: list[tuple[int, int]], base: int,
+                 classes: list[tuple[int, BoundReport | None]]) -> Iterator[str]:
+    """The graph6 lines of the tight lanes of the block at ``base``, in mask
+    order; nothing runs before ``record`` asks for a line, so a block past the
+    example cap costs nothing here."""
+    # the classes are disjoint, so their sum is their union
+    tight = sum(lanes for lanes, report in classes if report is not None and report.tight)
+    while tight:
+        mask = base + (tight & -tight).bit_length() - 1
+        tight &= tight - 1
+        yield write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
 
 
 def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
-                   reports: dict[tuple[int, int, int], BoundReport],
-                   ) -> list[tuple[int, BoundReport | None]]:
+                   ) -> list[tuple[int, tuple[int, int, int] | None]]:
     """Split the ``live`` lanes of the block at ``base`` by (m, d, W).
 
-    Returns (lanes, report) per class, with ``None`` for the disconnected
+    Returns (lanes, (m, d, W)) per class, with ``None`` for the disconnected
     lanes.  m and W come from the same idiom, a bit-sliced counter that
     ``_add`` sums planes into and ``_split`` reads per lane: ``sizes`` sums
     the edge planes, so it holds every lane's m.  ``reach[u][v]`` holds the
@@ -237,8 +233,7 @@ def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
     into it.  A lane's diameter is the level at which all its pairs are
     reached; one still short at level n - 1 is disconnected.  ``counter``
     sums the reached pairs of levels 1..k - 1 per lane, so a lane complete at
-    level k has W = k * P - counter over its P pairs.  ``reports`` caches
-    ``bound_report`` by key across blocks.
+    level k has W = k * P - counter over its P pairs.
     """
     pair_planes = _pair_planes()
     high = base >> _BLOCK_BITS
@@ -261,11 +256,7 @@ def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
             complete &= reach[u][v]
         for part, m in _split(complete ^ done, sizes):
             for lanes, reached in _split(part, counter):
-                key = (m, k, k * len(pairs) - reached)
-                report = reports.get(key)
-                if report is None:
-                    report = reports[key] = bound_report(n, *key)
-                classes.append((lanes, report))
+                classes.append((lanes, (m, k, k * len(pairs) - reached)))
         done = complete
         if done == live or k == n - 1:
             break

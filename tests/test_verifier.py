@@ -204,6 +204,8 @@ class TestExhaustiveSweep:
     @pytest.mark.parametrize("n, lo, hi", [
         (6, 0, 1), (6, 5, 777), (6, 1000, 1001), (6, 12345, 13000),
         (6, 32000, 32768), (7, 32768 - 300, 32768 + 300),
+        # 85 tight lanes before the block edge, so the 100 kept examples straddle it
+        (7, 32768 - 100, 32768 + 1000),
         # n = 8 has 13 pair-bits above the block's: none, the lowest, all and a mix set
         (8, 5, 605), (8, 32768 - 300, 32768 + 300), (8, 2**28 - 600, 2**28),
         (8, (0b1010101010101 << 15) + 77, (0b1010101010101 << 15) + 700),
@@ -234,6 +236,21 @@ class TestExhaustiveSweep:
             tracemalloc.stop()
         assert peak < 3 << 19, peak  # 1.5 MiB
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_tight_example_encoded_only_when_kept(self, n, monkeypatch):
+        from wienerbound import verifier
+
+        calls = []
+
+        def counting_write(g):
+            calls.append(g)
+            return write_graph6(g)
+
+        monkeypatch.setattr(verifier, "write_graph6", counting_write)
+        summary = exhaustive_sweep(n, workers=1)
+        assert summary.tight_count == FROZEN_SWEEPS[n]["tight_count"]
+        assert len(calls) == TIGHT_EXAMPLE_CAP
+
     def test_examples_parse_and_are_tight(self):
         summary = exhaustive_sweep(4, workers=1)
         assert len(summary.tight_examples) == 37
@@ -250,15 +267,21 @@ class TestSweepSummary:
         bound_report(4, 5, 2, 7),  # tight at d = 2
         None,  # disconnected
     ])
-    @pytest.mark.parametrize("k", [1, 3, 150])
+    @pytest.mark.parametrize("k", [0, 1, 3, 150])
     def test_count_equals_single_records(self, report, k):
-        # with 40 examples kept, k = 150 runs out of example room
+        # with 40 examples kept, k = 150 runs out of example room; k = 0 is no record
         bulk = SweepSummary(tight_examples=["x"] * 40)
         single = SweepSummary(tight_examples=["x"] * 40)
         bulk.record(report, lambda: "C~", count=k)
         for _ in range(k):
             single.record(report, lambda: "C~")
         assert bulk.to_dict() == single.to_dict()
+
+    def test_negative_count_rejected(self):
+        summary = SweepSummary()
+        with pytest.raises(ValueError, match="nonnegative"):
+            summary.record(bound_report(4, 3, 3, 11), lambda: "C~", count=-2)
+        assert summary == SweepSummary()
 
     def test_violation_counted(self):
         # P4 has W = bound = 10, so a Wiener index of 9 is a violation
