@@ -294,18 +294,19 @@ def _split(lanes: int, counter: list[int]) -> list[tuple[int, int]]:
 
 
 def _partitioned(sweep: Callable[..., SweepSummary], arg: object, total: int,
-                 workers: int | None) -> SweepSummary:
-    """Run ``sweep(arg, lo, hi)`` over [0, total) in spans of a pool capped at
-    the CPU count and at ``total``; one worker runs in this process and starts
-    no pool.  Partials merge in span order, so the result is ``sweep(arg, 0, total)``'s.
+                 workers: int | None, unit: int = 1) -> SweepSummary:
+    """Run ``sweep(arg, lo, hi)`` over [0, total) in spans of whole units, about
+    four per worker, on a pool capped at the CPU count and at the number of
+    units; one worker, or one unit, runs in this process and starts no pool.
+    Partials merge in span order, so the result is ``sweep(arg, 0, total)``'s.
     """
-    workers = min(resolve_workers(workers), total, os.cpu_count() or 1)
+    units = -(-total // unit)
+    workers = min(resolve_workers(workers), units, os.cpu_count() or 1)
     if workers <= 1:
         return sweep(arg, 0, total)
     import multiprocessing as mp
 
-    chunks = workers * 4
-    step = (total + chunks - 1) // chunks
+    step = -(-units // (4 * workers)) * unit
     spans = [(arg, lo, min(lo + step, total)) for lo in range(0, total, step)]
     # a forked child has only the calling thread, so a lock another thread
     # held stays held; numpy may have started such threads
@@ -322,14 +323,14 @@ def exhaustive_sweep(n: int, workers: int | None = None) -> SweepSummary:
     """Check the bound on every labeled graph of order n, 2 <= n <= 7.
 
     Iterates all 2^(n(n-1)/2) edge subsets; disconnected graphs and graphs of
-    diameter < 2 are skipped and counted.  Parallel runs partition the index
-    range and merge partial summaries in order, so the result is identical to
-    a single-threaded run.  The pool never has more processes than the CPU
-    count, whatever ``workers`` or WIENER_THREADS asks for.
+    diameter < 2 are skipped and counted.  Workers split the index range
+    into whole blocks of ``_BLOCK`` masks, so none is evaluated twice, and
+    partial summaries merge in order, as in a single-threaded run.  The pool
+    never outnumbers the CPUs or the blocks, so n <= 6 starts none.
     """
     if not 2 <= n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive sweep supports 2 <= n <= {_EXHAUSTIVE_MAX_N}, got {n}")
-    return _partitioned(_sweep_mask_range, n, 1 << (n * (n - 1) // 2), workers)
+    return _partitioned(_sweep_mask_range, n, 1 << (n * (n - 1) // 2), workers, _BLOCK)
 
 
 def _fold(graphs: Iterable[Graph | None]) -> SweepSummary:

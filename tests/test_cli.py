@@ -370,6 +370,21 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("n", ["2", "6"])
+    def test_one_block_exhaustive_starts_no_pool(self, n):
+        # the benchmark's exhaustive setup run: n <= 6 is one block of masks
+        code = (
+            "import sys; from wienerbound import cli; "
+            f"rc = cli.main(['verify', '--exhaustive', '{n}', '--json', '--threads', '2']); "
+            "assert rc == 0, rc; "
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_human_summary(self, capsys):
         code, out, _ = run_cli(["verify", "--exhaustive", "3", "--threads", "1"], capsys)
         assert code == 0

@@ -37,11 +37,13 @@ from wienerbound.generators import (
     star,
 )
 from wienerbound.verifier import (
+    _BLOCK,
     TIGHT_EXAMPLE_CAP,
     SweepSummary,
     _corpus_report,
     _fold,
     _matrix_distances,
+    _partitioned,
     _sweep_mask_range,
     iter_random_corpus,
     resolve_workers,
@@ -84,11 +86,13 @@ FROZEN_TIGHT_EXAMPLES = {
 
 
 class PoolLog(list):
-    """Sizes of the pools started, in order; ``methods`` holds their start methods."""
+    """Sizes of the pools started, in order; ``methods`` holds their start
+    methods and ``spans`` the (lo, hi) spans each pool receives."""
 
     def __init__(self):
         super().__init__()
         self.methods = []
+        self.spans = []
 
 
 @pytest.fixture
@@ -112,6 +116,7 @@ def fake_pool(monkeypatch):
             return False
 
         def starmap(self, fn, spans):
+            sizes.spans.append([span[1:] for span in spans])
             return [fn(*span) for span in spans]
 
     class FakeContext:
@@ -120,6 +125,15 @@ def fake_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     return sizes
+
+
+@pytest.fixture
+def stub_kernel(monkeypatch):
+    """Swap the exhaustive kernel for ``_span_sweep``, so that a test of the
+    pool around it sweeps n = 7's 64 blocks at no cost."""
+    from wienerbound import verifier
+
+    monkeypatch.setattr(verifier, "_sweep_mask_range", lambda n, lo, hi: _span_sweep([], lo, hi))
 
 
 class TestExhaustiveSweep:
@@ -143,36 +157,41 @@ class TestExhaustiveSweep:
         assert summary.skipped_inapplicable == 1  # the single edge
 
     def test_parallel_equals_sequential(self):
-        seq = exhaustive_sweep(5, workers=1)
-        par = exhaustive_sweep(5, workers=2)
+        # n = 7 is the one order of more than one block, so a real pool starts
+        seq = exhaustive_sweep(7, workers=1)
+        par = exhaustive_sweep(7, workers=2)
         assert seq.to_dict() == par.to_dict()
 
-    def test_pool_capped_at_cpu_count(self, fake_pool, monkeypatch):
-        expected = exhaustive_sweep(4, workers=1).to_dict()
-        assert exhaustive_sweep(4, workers=100_000).to_dict() == expected
+    def test_pool_capped_at_cpu_count(self, fake_pool, stub_kernel, monkeypatch):
+        # test_each_block_evaluated_once runs the real kernel on such a pool
+        expected = exhaustive_sweep(7, workers=1).to_dict()
+        assert exhaustive_sweep(7, workers=100_000).to_dict() == expected
         monkeypatch.setenv("WIENER_THREADS", "100000")
-        assert exhaustive_sweep(4).to_dict() == expected
+        assert exhaustive_sweep(7).to_dict() == expected
         assert fake_pool == [3, 3]
+        assert [len(spans) for spans in fake_pool.spans] == [11, 11]
 
-    def test_fork_unless_numpy_loaded(self, fake_pool, monkeypatch):
+    def test_fork_unless_numpy_loaded(self, fake_pool, stub_kernel, monkeypatch):
         # fork copies only the calling thread, and numpy may hold threads
-        expected = exhaustive_sweep(4, workers=1).to_dict()
+        expected = exhaustive_sweep(7, workers=1).to_dict()
         monkeypatch.delitem(sys.modules, "numpy", raising=False)
-        assert exhaustive_sweep(4, workers=3).to_dict() == expected
+        assert exhaustive_sweep(7, workers=3).to_dict() == expected
         monkeypatch.setitem(sys.modules, "numpy", types.ModuleType("numpy"))
-        assert exhaustive_sweep(4, workers=3).to_dict() == expected
+        assert exhaustive_sweep(7, workers=3).to_dict() == expected
         assert fake_pool == [3, 3]
         assert fake_pool.methods == ["fork", "forkserver"]
 
     @pytest.mark.parametrize("n", sorted(FROZEN_TIGHT_EXAMPLES))
     def test_frozen_tight_examples(self, n, fake_pool):
-        # the 3-worker run merges 12 partitions, so merge's truncation is pinned too
+        # at n = 7 the 3-worker run merges 11 spans, so merge's truncation is
+        # pinned too; n <= 6 is one block and starts no pool
         for workers in (1, 3):
             examples = exhaustive_sweep(n, workers=workers).tight_examples
             assert len(examples) == 100
             digest = hashlib.sha256("\n".join(examples).encode()).hexdigest()
             assert digest == FROZEN_TIGHT_EXAMPLES[n], workers
-        assert fake_pool == [3]
+        assert fake_pool == ([3] if n == 7 else [])
+        assert [len(spans) for spans in fake_pool.spans] == ([11] if n == 7 else [])
 
     def test_frozen_tight_examples_at_8(self):
         # block 0 holds more than 100 tight lanes, so its examples are those
@@ -218,9 +237,29 @@ class TestExhaustiveSweep:
         assert _sweep_mask_range(n, lo, hi).to_dict() == stream_sweep(lines).to_dict()
 
     def test_workers_agree_at_6(self, fake_pool):
+        # one block: the 3-worker run sweeps it in this process
         expected = exhaustive_sweep(6, workers=1).to_dict()
         assert exhaustive_sweep(6, workers=3).to_dict() == expected
-        assert fake_pool == [3]
+        assert fake_pool == []
+
+    @pytest.mark.parametrize("n, calls, pools", [(6, 1, []), (7, 64, [3])])
+    def test_each_block_evaluated_once(self, n, calls, pools, fake_pool, monkeypatch):
+        from wienerbound import verifier
+
+        bases = []
+        real = verifier._block_classes
+
+        def counting(n_, pairs, base, live):
+            bases.append(base)
+            return real(n_, pairs, base, live)
+
+        monkeypatch.setattr(verifier, "_block_classes", counting)
+        summary = exhaustive_sweep(n, workers=3)
+        for key, expected in FROZEN_SWEEPS[n].items():
+            assert getattr(summary, key) == expected, key
+        assert len(bases) == calls
+        assert sorted(bases) == list(range(0, summary.graphs_checked, _BLOCK))
+        assert fake_pool == pools
 
     def test_block_memory_bounded(self):
         # four blocks of 2**15 masks at n = 7 peak near 0.9 MiB, two live
@@ -418,6 +457,53 @@ class TestRandomSweep:
         assert random_sweep(0, 50, 0).graphs_checked == 0
         assert random_sweep(1, 50, 0).graphs_checked == 1
         assert fake_pool == []
+
+
+def _span_sweep(calls, lo, hi):
+    """A cheap sweep for ``_partitioned``: it logs its span in ``calls`` and
+    keeps the span's indices as tight examples, so the merge order shows."""
+    calls.append((lo, hi))
+    return SweepSummary(graphs_checked=hi - lo, tight_count=hi - lo,
+                        tight_examples=[str(i) for i in range(lo, min(hi, lo + TIGHT_EXAMPLE_CAP))])
+
+
+class TestPartitioned:
+    @pytest.mark.parametrize("total, workers, count", [
+        (2 * _BLOCK, 3, 2),
+        (64 * _BLOCK, 2, 8),  # the benchmark's n = 7 run: 8 spans of 8 blocks
+        (64 * _BLOCK, 3, 11), (64 * _BLOCK, 100_000, 11),
+        (5 * _BLOCK + 7, 3, 6),  # a last, partial unit ends the last span
+    ])
+    def test_spans_are_whole_units(self, total, workers, count, fake_pool):
+        calls = []
+        summary = _partitioned(_span_sweep, calls, total, workers, _BLOCK)
+        [spans] = fake_pool.spans
+        assert spans == calls
+        assert len(spans) == count
+        assert fake_pool == [min(workers, -(-total // _BLOCK), 3)]
+        bounds = [lo for lo, _ in spans] + [total]
+        assert spans == list(zip(bounds, bounds[1:]))  # contiguous and in order
+        assert all(lo < hi and lo % _BLOCK == 0 for lo, hi in spans)
+        assert all(hi % _BLOCK == 0 for _, hi in spans[:-1])
+        assert summary.to_dict() == _span_sweep([], 0, total).to_dict()
+
+    @pytest.mark.parametrize("total", [0, 1, 2, _BLOCK])
+    def test_one_unit_starts_no_pool(self, total, fake_pool):
+        calls = []
+        _partitioned(_span_sweep, calls, total, 3, _BLOCK)
+        assert calls == [(0, total)]
+        assert fake_pool == []
+
+    @pytest.mark.parametrize("total, workers, step", [
+        (400, 3, 34), (400, 2, 50), (1001, 3, 84), (10, 100_000, 1),
+    ])
+    def test_unit_one_keeps_item_spans(self, total, workers, step, fake_pool):
+        # step = ceil(total / (4 * pool)) items, random_sweep's spans; at 400
+        # the first 100 examples straddle three spans
+        summary = _partitioned(_span_sweep, [], total, workers)
+        assert fake_pool == [min(workers, 3)]
+        assert fake_pool.spans == [[(lo, min(lo + step, total)) for lo in range(0, total, step)]]
+        assert summary.to_dict() == _span_sweep([], 0, total).to_dict()
 
 
 class TestRandomKernel:
