@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="sweep the bound over a graph corpus")
     mode = p_verify.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", type=int, metavar="N",
-                      help="all labeled graphs of order N (2..7)")
+                      help="all labeled graphs of order N (2..8)")
     mode.add_argument("--stream", metavar="FILE",
                       help="graph6 lines from FILE ('-' for stdin)")
     mode.add_argument("--random", type=int, metavar="COUNT",
@@ -280,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--order", type=int, help="max order for --random")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--threads", type=int, default=None,
-                          help="worker count of --exhaustive and --random (default: "
-                               "WIENER_THREADS or CPU count; a negative or non-integer "
-                               "value is exit 2 in every mode); --stream checks the "
-                               "value but runs in one process")
+                          help="worker count of --random (default: WIENER_THREADS or "
+                               "CPU count; a negative or non-integer value is exit 2 in "
+                               "every mode); --exhaustive and --stream check the value "
+                               "but run in one process")
     p_verify.add_argument("--skip-bad", action="store_true",
                           help="skip malformed graph6 lines instead of aborting")
     p_verify.add_argument("--json", action="store_true")

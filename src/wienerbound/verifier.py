@@ -12,7 +12,11 @@ base + g.  Reach planes grow one BFS level at a time for all pairs,
 bit-sliced counters sum each lane's edges and distances, and the block's
 lanes split into classes of equal (m, d, W).  Each class is one
 ``SweepSummary.record`` call with its lane count and one ``bound_report``
-call, cached over the span of masks the kernel sweeps.
+call, cached over the span of masks the kernel sweeps.  A vertex permutation
+that keeps the first 15 pairs (the lane bits) among themselves maps mask
+(h << 15) | g to an isomorphic (h' << 15) | g', with g -> g' a bijection of
+the lanes, so blocks h and h' hold the same (m, d, W) classes: a sweep
+evaluates one whole block per orbit, 11 of 64 at n = 7, in one process.
 
 The random sweep's kernel builds no ``Graph`` for orders up to 62.  It makes
 ``random_connected``'s draws into one n*n-bit adjacency int, and bit-matrix
@@ -28,7 +32,7 @@ import functools
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator
 
 from . import generators
@@ -39,7 +43,7 @@ from .metrics import diametral_path
 from .rng import stream
 
 TIGHT_EXAMPLE_CAP = 100
-_EXHAUSTIVE_MAX_N = 7
+_EXHAUSTIVE_MAX_N = 8
 
 # A family name is the name of its generator in ``generators``.
 SHARPNESS_FAMILIES = ("path", "star", "prism", "petersen")
@@ -177,6 +181,27 @@ def _pair_planes() -> tuple[int, ...]:
     return tuple(planes)
 
 
+@functools.cache
+def _orbit_table(n: int) -> tuple[int, ...]:
+    """The least member of each high pattern's orbit, indexed by the pattern
+    (mask bits from ``_BLOCK_BITS`` up); only vertices of high pairs move."""
+    high = list(combinations(range(n), 2))[_BLOCK_BITS:]
+    index = {p: i for i, p in enumerate(high)}
+    touched = sorted({v for p in high for v in p})
+    maps = []
+    for image in permutations(touched):
+        to = dict(zip(touched, image))
+        moved = [index.get(tuple(sorted((to[u], to[v])))) for u, v in high]
+        if None not in moved:
+            maps.append(moved)
+    least: list[int] = [-1] * (1 << len(high))
+    for h in range(len(least)):  # the first pattern met in an orbit is its least
+        if least[h] < 0:
+            for moved in maps:
+                least[sum(1 << j for i, j in enumerate(moved) if h >> i & 1)] = h
+    return tuple(least)
+
+
 def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
     """Evaluate every labeled graph whose edge-subset index lies in [lo, hi).
 
@@ -190,31 +215,47 @@ def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
     - ``live`` holds the lanes inside [lo, hi), so spans need not align.
     ``_block_classes`` splits the live lanes by (m, d, W), and each class is
     one ``record`` call with its lane count and the ``bound_report`` of its
-    key, cached over the span.  A block's classes share one graph6 source,
-    which encodes the block's tight lanes in mask order, so the examples
-    ``record`` keeps are the first tight masks of the range, whichever class
-    asks for them.
+    key, cached over the span; a whole block whose orbit was met before
+    records that orbit's (report, count) pairs.  A block's classes share one
+    graph6 source, which encodes the block's tight lanes in mask order, so the
+    examples ``record`` keeps are the first tight masks of the range,
+    whichever class asks for them.
     """
     pairs = list(combinations(range(n), 2))
     summary = SweepSummary()
     report_of = functools.cache(bound_report)
+    least = _orbit_table(n)
+    counted: dict[int, list[tuple[BoundReport | None, int]]] = {}
+
+    def classes(base: int, live: int) -> list[tuple[int, BoundReport | None]]:
+        return [(lanes, None if key is None else report_of(n, *key))
+                for lanes, key in _block_classes(n, pairs, base, live)]
+
     for base in range(lo - lo % _BLOCK, hi, _BLOCK):
         live = (1 << min(hi - base, _BLOCK)) - (1 << max(lo - base, 0))
-        classes = [(lanes, None if key is None else report_of(n, *key))
-                   for lanes, key in _block_classes(n, pairs, base, live)]
-        examples = _lane_graph6(n, pairs, base, classes)
-        for lanes, report in classes:
-            summary.record(report, examples.__next__, lanes.bit_count())
+        orbit = least[base >> _BLOCK_BITS] if live == (1 << _BLOCK) - 1 else None
+        counts = counted.get(orbit)
+        if counts is None:
+            block = classes(base, live)
+            counts = [(report, lanes.bit_count()) for lanes, report in block]
+            if orbit is not None:
+                counted[orbit] = counts
+            source = lambda block=block: block
+        else:  # a reused block is evaluated only if record asks for a line
+            source = functools.partial(classes, base, live)
+        examples = _lane_graph6(n, pairs, base, source)
+        for report, count in counts:
+            summary.record(report, examples.__next__, count)
     return summary
 
 
 def _lane_graph6(n: int, pairs: list[tuple[int, int]], base: int,
-                 classes: list[tuple[int, BoundReport | None]]) -> Iterator[str]:
+                 block: Callable[[], list]) -> Iterator[str]:
     """The graph6 lines of the tight lanes of the block at ``base``, in mask
-    order; nothing runs before ``record`` asks for a line, so a block past the
-    example cap costs nothing here."""
+    order; nothing runs, ``block()`` included, before ``record`` asks for a
+    line, so a block past the example cap costs nothing here."""
     # the classes are disjoint, so their sum is their union
-    tight = sum(lanes for lanes, report in classes if report is not None and report.tight)
+    tight = sum(lanes for lanes, report in block() if report is not None and report.tight)
     while tight:
         mask = base + (tight & -tight).bit_length() - 1
         tight &= tight - 1
@@ -294,19 +335,18 @@ def _split(lanes: int, counter: list[int]) -> list[tuple[int, int]]:
 
 
 def _partitioned(sweep: Callable[..., SweepSummary], arg: object, total: int,
-                 workers: int | None, unit: int = 1) -> SweepSummary:
-    """Run ``sweep(arg, lo, hi)`` over [0, total) in spans of whole units, about
-    four per worker, on a pool capped at the CPU count and at the number of
-    units; one worker, or one unit, runs in this process and starts no pool.
-    Partials merge in span order, so the result is ``sweep(arg, 0, total)``'s.
+                 workers: int | None) -> SweepSummary:
+    """Run ``sweep(arg, lo, hi)`` over [0, total) in about four spans per
+    worker, on a pool capped at the CPU count and at ``total``; one worker, or
+    one item, runs in this process and starts no pool.  Partials merge in
+    span order, so the result is ``sweep(arg, 0, total)``'s.
     """
-    units = -(-total // unit)
-    workers = min(resolve_workers(workers), units, os.cpu_count() or 1)
+    workers = min(resolve_workers(workers), total, os.cpu_count() or 1)
     if workers <= 1:
         return sweep(arg, 0, total)
     import multiprocessing as mp
 
-    step = -(-units // (4 * workers)) * unit
+    step = -(-total // (4 * workers))
     spans = [(arg, lo, min(lo + step, total)) for lo in range(0, total, step)]
     # a forked child has only the calling thread, so a lock another thread
     # held stays held; numpy may have started such threads
@@ -320,17 +360,17 @@ def _partitioned(sweep: Callable[..., SweepSummary], arg: object, total: int,
 
 
 def exhaustive_sweep(n: int, workers: int | None = None) -> SweepSummary:
-    """Check the bound on every labeled graph of order n, 2 <= n <= 7.
+    """Check the bound on every labeled graph of order n, 2 <= n <= 8.
 
     Iterates all 2^(n(n-1)/2) edge subsets; disconnected graphs and graphs of
-    diameter < 2 are skipped and counted.  Workers split the index range
-    into whole blocks of ``_BLOCK`` masks, so none is evaluated twice, and
-    partial summaries merge in order, as in a single-threaded run.  The pool
-    never outnumbers the CPUs or the blocks, so n <= 6 starts none.
+    diameter < 2 are skipped and counted.  It runs in this process: ``workers``
+    is checked as in ``random_sweep``, but one block per orbit (11 at n = 7)
+    costs less than starting a pool.
     """
     if not 2 <= n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive sweep supports 2 <= n <= {_EXHAUSTIVE_MAX_N}, got {n}")
-    return _partitioned(_sweep_mask_range, n, 1 << (n * (n - 1) // 2), workers, _BLOCK)
+    resolve_workers(workers)
+    return _sweep_mask_range(n, 0, 1 << (n * (n - 1) // 2))
 
 
 def _fold(graphs: Iterable[Graph | None]) -> SweepSummary:
@@ -456,8 +496,8 @@ def _random_range(corpus: tuple[int, int], lo: int, hi: int) -> SweepSummary:
 def random_sweep(count: int, max_order: int, seed: int, workers: int | None = None) -> SweepSummary:
     """Check the bound on seeded random connected graphs of mixed density.
 
-    Workers sweep index ranges of the corpus, as in ``exhaustive_sweep``, so
-    the result does not depend on ``workers``.
+    Workers sweep index ranges of the corpus and their partials merge in
+    order, so the result does not depend on ``workers``.
     """
     iter_random_corpus(count, max_order, seed)  # checks the arguments; draws nothing
     return _partitioned(_random_range, (max_order, seed), count, workers)

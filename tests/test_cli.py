@@ -370,9 +370,10 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("n", ["2", "6"])
+    @pytest.mark.parametrize("n", ["2", "6", "7"])
     def test_one_block_exhaustive_starts_no_pool(self, n):
-        # the benchmark's exhaustive setup run: n <= 6 is one block of masks
+        # the benchmark's exhaustive setup run (n = 2) and its timed run (n = 7):
+        # the sweep evaluates one block per orbit in this process
         code = (
             "import sys; from wienerbound import cli; "
             f"rc = cli.main(['verify', '--exhaustive', '{n}', '--json', '--threads', '2']); "

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from wienerbound.verifier import (
     _corpus_report,
     _fold,
     _matrix_distances,
+    _orbit_table,
     _partitioned,
     _sweep_mask_range,
     iter_random_corpus,
@@ -56,7 +58,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # exhaustive labeled sweep totals; n <= 5 frozen from an independent
 # networkx-based enumeration of all edge subsets, n = 6 and 7 from the
 # per-mask BFS kernel that preceded the bit-sliced one (n = 7 also matches
-# the benchmark's expected totals)
+# the benchmark's expected totals), n = 8 from the bit-sliced kernel before
+# it evaluated one block per orbit (applicable plus skipped_inapplicable, the
+# complete graph, is OEIS A001187(8), the connected labeled graphs)
 FROZEN_SWEEPS = {
     3: dict(graphs_checked=8, applicable=3, tight_count=3,
             skipped_disconnected=4, skipped_inapplicable=1,
@@ -73,6 +77,9 @@ FROZEN_SWEEPS = {
     7: dict(graphs_checked=2097152, applicable=1866255, tight_count=1047735,
             skipped_disconnected=230896, skipped_inapplicable=1,
             min_gap=0, max_gap=8),
+    8: dict(graphs_checked=268435456, applicable=251548591, tight_count=135219567,
+            skipped_disconnected=16886864, skipped_inapplicable=1,
+            min_gap=0, max_gap=14),
 }
 
 
@@ -82,7 +89,12 @@ FROZEN_TIGHT_EXAMPLES = {
     5: "4d3e24fb10d80a4209d357344abe45443fa23c39289a2dc621ff1f5f86fa71a6",
     6: "86599bc69b2b543e9bdd4b22fb5b94e7fc6250d0a5736b142eef78ece341fcc8",
     7: "24cd64bbc38a2dd9e7597747897fbec18098945182be335d972053c150909cf4",
+    8: "ec39fb5ef2a13c6c9381fa181a10d09855accdf1abc2f4b4eb84589638e7dd48",
 }
+
+
+def _digest(examples):
+    return hashlib.sha256("\n".join(examples).encode()).hexdigest()
 
 
 class PoolLog(list):
@@ -128,27 +140,46 @@ def fake_pool(monkeypatch):
 
 
 @pytest.fixture
-def stub_kernel(monkeypatch):
-    """Swap the exhaustive kernel for ``_span_sweep``, so that a test of the
-    pool around it sweeps n = 7's 64 blocks at no cost."""
+def counted_blocks(monkeypatch):
+    """Log the base of every block ``_block_classes`` evaluates, in order."""
     from wienerbound import verifier
 
-    monkeypatch.setattr(verifier, "_sweep_mask_range", lambda n, lo, hi: _span_sweep([], lo, hi))
+    bases = []
+    real = verifier._block_classes
+
+    def counting(n, pairs, base, live):
+        bases.append(base)
+        return real(n, pairs, base, live)
+
+    monkeypatch.setattr(verifier, "_block_classes", counting)
+    return bases
+
+
+@pytest.fixture
+def stub_kernel(monkeypatch):
+    """Swap the random sweep's kernel for ``_span_sweep``, so that a test of
+    the pool around it sweeps thousands of graphs at no cost."""
+    from wienerbound import verifier
+
+    monkeypatch.setattr(verifier, "_random_range", lambda corpus, lo, hi: _span_sweep([], lo, hi))
 
 
 class TestExhaustiveSweep:
     @pytest.mark.parametrize("n", sorted(FROZEN_SWEEPS))
     def test_frozen_totals(self, n):
+        # n = 8 takes a few seconds, so its totals and examples share one sweep
         summary = exhaustive_sweep(n, workers=1)
         for key, expected in FROZEN_SWEEPS[n].items():
             assert getattr(summary, key) == expected, key
         assert summary.violations == 0
+        if n in FROZEN_TIGHT_EXAMPLES:
+            assert _digest(summary.tight_examples) == FROZEN_TIGHT_EXAMPLES[n]
 
     def test_order_range_enforced(self):
         with pytest.raises(ValueError):
             exhaustive_sweep(1)
         with pytest.raises(ValueError):
-            exhaustive_sweep(8)
+            exhaustive_sweep(9)
 
     def test_n2_has_no_applicable_graphs(self):
         summary = exhaustive_sweep(2, workers=1)
@@ -156,51 +187,50 @@ class TestExhaustiveSweep:
         assert summary.applicable == 0
         assert summary.skipped_inapplicable == 1  # the single edge
 
-    def test_parallel_equals_sequential(self):
-        # n = 7 is the one order of more than one block, so a real pool starts
+    def test_parallel_equals_sequential(self, fake_pool):
+        # the sweep runs in this process at any worker count
         seq = exhaustive_sweep(7, workers=1)
         par = exhaustive_sweep(7, workers=2)
         assert seq.to_dict() == par.to_dict()
+        assert fake_pool == []
 
     def test_pool_capped_at_cpu_count(self, fake_pool, stub_kernel, monkeypatch):
-        # test_each_block_evaluated_once runs the real kernel on such a pool
-        expected = exhaustive_sweep(7, workers=1).to_dict()
-        assert exhaustive_sweep(7, workers=100_000).to_dict() == expected
+        # the random sweep is the one that starts a pool; the exhaustive sweep
+        # starts none, however many workers are asked for
+        expected = random_sweep(2000, 50, 0, workers=1).to_dict()
+        assert random_sweep(2000, 50, 0, workers=100_000).to_dict() == expected
         monkeypatch.setenv("WIENER_THREADS", "100000")
-        assert exhaustive_sweep(7).to_dict() == expected
+        assert random_sweep(2000, 50, 0).to_dict() == expected
+        assert exhaustive_sweep(5).to_dict() == exhaustive_sweep(5, workers=1).to_dict()
         assert fake_pool == [3, 3]
-        assert [len(spans) for spans in fake_pool.spans] == [11, 11]
+        assert [len(spans) for spans in fake_pool.spans] == [12, 12]
 
     def test_fork_unless_numpy_loaded(self, fake_pool, stub_kernel, monkeypatch):
         # fork copies only the calling thread, and numpy may hold threads
-        expected = exhaustive_sweep(7, workers=1).to_dict()
+        expected = random_sweep(2000, 50, 0, workers=1).to_dict()
         monkeypatch.delitem(sys.modules, "numpy", raising=False)
-        assert exhaustive_sweep(7, workers=3).to_dict() == expected
+        assert random_sweep(2000, 50, 0, workers=3).to_dict() == expected
         monkeypatch.setitem(sys.modules, "numpy", types.ModuleType("numpy"))
-        assert exhaustive_sweep(7, workers=3).to_dict() == expected
+        assert random_sweep(2000, 50, 0, workers=3).to_dict() == expected
         assert fake_pool == [3, 3]
         assert fake_pool.methods == ["fork", "forkserver"]
 
-    @pytest.mark.parametrize("n", sorted(FROZEN_TIGHT_EXAMPLES))
+    # n = 8's digest is checked by test_frozen_totals, from its one sweep
+    @pytest.mark.parametrize("n", [5, 6, 7])
     def test_frozen_tight_examples(self, n, fake_pool):
-        # at n = 7 the 3-worker run merges 11 spans, so merge's truncation is
-        # pinned too; n <= 6 is one block and starts no pool
         for workers in (1, 3):
             examples = exhaustive_sweep(n, workers=workers).tight_examples
             assert len(examples) == 100
-            digest = hashlib.sha256("\n".join(examples).encode()).hexdigest()
-            assert digest == FROZEN_TIGHT_EXAMPLES[n], workers
-        assert fake_pool == ([3] if n == 7 else [])
-        assert [len(spans) for spans in fake_pool.spans] == ([11] if n == 7 else [])
+            assert _digest(examples) == FROZEN_TIGHT_EXAMPLES[n], workers
+        assert fake_pool == []
 
     def test_frozen_tight_examples_at_8(self):
         # block 0 holds more than 100 tight lanes, so its examples are those
-        # of the full 2**28-mask sweep, whose totals stay outside tier-1
+        # of the full 2**28-mask sweep
         summary = _sweep_mask_range(8, 0, 1 << 15)
         assert summary.tight_count == 942
         assert len(summary.tight_examples) == 100
-        digest = hashlib.sha256("\n".join(summary.tight_examples).encode()).hexdigest()
-        assert digest == "ec39fb5ef2a13c6c9381fa181a10d09855accdf1abc2f4b4eb84589638e7dd48"
+        assert _digest(summary.tight_examples) == FROZEN_TIGHT_EXAMPLES[8]
 
     def test_tight_example_cap(self):
         summary = exhaustive_sweep(5, workers=1)
@@ -237,29 +267,72 @@ class TestExhaustiveSweep:
         assert _sweep_mask_range(n, lo, hi).to_dict() == stream_sweep(lines).to_dict()
 
     def test_workers_agree_at_6(self, fake_pool):
-        # one block: the 3-worker run sweeps it in this process
+        # the 3-worker run sweeps in this process
         expected = exhaustive_sweep(6, workers=1).to_dict()
         assert exhaustive_sweep(6, workers=3).to_dict() == expected
         assert fake_pool == []
 
-    @pytest.mark.parametrize("n, calls, pools", [(6, 1, []), (7, 64, [3])])
-    def test_each_block_evaluated_once(self, n, calls, pools, fake_pool, monkeypatch):
+    @pytest.mark.parametrize("n, calls", [(6, 1), (7, 11)])
+    def test_each_orbit_evaluated_once(self, n, calls, fake_pool, counted_blocks):
+        # the examples are full after block 0, so no reused block is evaluated
+        # for its lines
+        for workers in (1, 3, 100_000):
+            counted_blocks.clear()
+            summary = exhaustive_sweep(n, workers=workers)
+            for key, expected in FROZEN_SWEEPS[n].items():
+                assert getattr(summary, key) == expected, key
+            assert len(counted_blocks) == calls
+            assert counted_blocks == [h * _BLOCK for h in sorted(set(_orbit_table(n)))]
+        assert fake_pool == []
+
+    def test_reused_block_gives_examples(self, counted_blocks, monkeypatch):
+        # blocks 1 and 2 share an orbit, so block 2 records block 1's classes
+        # and is evaluated only when record asks it for example lines
         from wienerbound import verifier
 
-        bases = []
-        real = verifier._block_classes
+        assert _orbit_table(7)[1] == _orbit_table(7)[2] == 1
+        assert len(_sweep_mask_range(7, _BLOCK, 3 * _BLOCK).tight_examples) == 100
+        assert counted_blocks == [_BLOCK]
+        monkeypatch.setattr(verifier, "TIGHT_EXAMPLE_CAP", 1 << 16)
+        counted_blocks.clear()
+        summary = _sweep_mask_range(7, _BLOCK, 3 * _BLOCK)
+        assert counted_blocks == [_BLOCK, 2 * _BLOCK]
+        expected = _sweep_mask_range(7, _BLOCK, 2 * _BLOCK)
+        second = _sweep_mask_range(7, 2 * _BLOCK, 3 * _BLOCK)
+        assert second.tight_examples  # the lines the reused block must give
+        expected.merge(second)
+        assert summary.to_dict() == expected.to_dict()
+        assert len(summary.tight_examples) == summary.tight_count
 
-        def counting(n_, pairs, base, live):
-            bases.append(base)
-            return real(n_, pairs, base, live)
+    @pytest.mark.parametrize("n, orbits", [(n, 1) for n in range(2, 7)] + [(7, 11), (8, 968)])
+    def test_orbit_table(self, n, orbits):
+        # 11 graphs on the four vertices of n = 7's high pairs (OEIS A000088)
+        least = _orbit_table(n)
+        blocks = 1 << max(n * (n - 1) // 2 - 15, 0)
+        sizes = Counter(least)
+        assert len(sizes) == orbits
+        assert len(least) == sum(sizes.values()) == blocks
+        assert all(least[h] <= h and least[least[h]] == least[h] for h in range(blocks))
 
-        monkeypatch.setattr(verifier, "_block_classes", counting)
-        summary = exhaustive_sweep(n, workers=3)
-        for key, expected in FROZEN_SWEEPS[n].items():
-            assert getattr(summary, key) == expected, key
-        assert len(bases) == calls
-        assert sorted(bases) == list(range(0, summary.graphs_checked, _BLOCK))
-        assert fake_pool == pools
+    @pytest.mark.parametrize("n, highs", [
+        (7, range(64)),
+        # n = 8: a stride through the 8,192 blocks, the last block and mixed high bits
+        (8, [*range(1, 8192, 409), 0b1010101010101, 0b0101010101010, 8191]),
+    ])
+    def test_orbit_blocks_share_classes(self, n, highs):
+        from wienerbound.verifier import _block_classes
+
+        pairs = list(combinations(range(n), 2))
+        least = _orbit_table(n)
+
+        def classes(h):
+            return Counter((key, lanes.bit_count())
+                           for lanes, key in _block_classes(n, pairs, h * _BLOCK, (1 << _BLOCK) - 1))
+
+        moved = [h for h in highs if least[h] != h]
+        assert len(moved) > len(highs) // 2
+        for h in moved:
+            assert classes(h) == classes(least[h]), h
 
     def test_block_memory_bounded(self):
         # four blocks of 2**15 masks at n = 7 peak near 0.9 MiB, two live
@@ -468,41 +541,25 @@ def _span_sweep(calls, lo, hi):
 
 
 class TestPartitioned:
-    @pytest.mark.parametrize("total, workers, count", [
-        (2 * _BLOCK, 3, 2),
-        (64 * _BLOCK, 2, 8),  # the benchmark's n = 7 run: 8 spans of 8 blocks
-        (64 * _BLOCK, 3, 11), (64 * _BLOCK, 100_000, 11),
-        (5 * _BLOCK + 7, 3, 6),  # a last, partial unit ends the last span
-    ])
-    def test_spans_are_whole_units(self, total, workers, count, fake_pool):
-        calls = []
-        summary = _partitioned(_span_sweep, calls, total, workers, _BLOCK)
-        [spans] = fake_pool.spans
-        assert spans == calls
-        assert len(spans) == count
-        assert fake_pool == [min(workers, -(-total // _BLOCK), 3)]
-        bounds = [lo for lo, _ in spans] + [total]
-        assert spans == list(zip(bounds, bounds[1:]))  # contiguous and in order
-        assert all(lo < hi and lo % _BLOCK == 0 for lo, hi in spans)
-        assert all(hi % _BLOCK == 0 for _, hi in spans[:-1])
-        assert summary.to_dict() == _span_sweep([], 0, total).to_dict()
-
-    @pytest.mark.parametrize("total", [0, 1, 2, _BLOCK])
+    @pytest.mark.parametrize("total", [0, 1])
     def test_one_unit_starts_no_pool(self, total, fake_pool):
         calls = []
-        _partitioned(_span_sweep, calls, total, 3, _BLOCK)
+        _partitioned(_span_sweep, calls, total, 3)
         assert calls == [(0, total)]
         assert fake_pool == []
 
     @pytest.mark.parametrize("total, workers, step", [
         (400, 3, 34), (400, 2, 50), (1001, 3, 84), (10, 100_000, 1),
+        (2, 3, 1),  # the pool is capped at the item count too
     ])
     def test_unit_one_keeps_item_spans(self, total, workers, step, fake_pool):
-        # step = ceil(total / (4 * pool)) items, random_sweep's spans; at 400
-        # the first 100 examples straddle three spans
-        summary = _partitioned(_span_sweep, [], total, workers)
-        assert fake_pool == [min(workers, 3)]
-        assert fake_pool.spans == [[(lo, min(lo + step, total)) for lo in range(0, total, step)]]
+        # spans of ceil(total / (4 * pool)) items, contiguous and in order, on a
+        # pool of min(workers, total, CPUs); at 400 the first 100 examples
+        # straddle three spans, so merge's in-order truncation is pinned
+        calls = []
+        summary = _partitioned(_span_sweep, calls, total, workers)
+        assert fake_pool == [min(workers, total, 3)]
+        assert fake_pool.spans == [calls] == [[(lo, min(lo + step, total)) for lo in range(0, total, step)]]
         assert summary.to_dict() == _span_sweep([], 0, total).to_dict()
 
 
