@@ -10,13 +10,13 @@ pair, and the kernel evaluates an aligned block of 2**15 consecutive masks at
 once: a plane is one Python int whose bit g stands for the graph of mask
 base + g.  Reach planes grow one BFS level at a time for all pairs,
 bit-sliced counters sum each lane's edges and distances, and the block's
-lanes split into classes of equal (m, d, W).  Each class is one
-``SweepSummary.record`` call with its lane count and one ``bound_report``
-call, cached over the span of masks the kernel sweeps.  A vertex permutation
-that keeps the first 15 pairs (the lane bits) among themselves maps mask
+lanes split into classes of equal (m, d, W).  A vertex permutation that
+keeps the first 15 pairs (the lane bits) among themselves maps mask
 (h << 15) | g to an isomorphic (h' << 15) | g', with g -> g' a bijection of
-the lanes, so blocks h and h' hold the same (m, d, W) classes: a sweep
-evaluates one whole block per orbit, 11 of 64 at n = 7, in one process.
+the lanes, so blocks h and h' hold the same classes.  The bound depends on a
+graph only through (n, m, d), so a sweep is a census: one block per orbit (11
+of 64 at n = 7) is evaluated, its lane counts times the orbit's size summed
+per (m, d, W) key, and each key is one ``SweepSummary.record`` call.
 
 The random sweep's kernel builds no ``Graph`` for orders up to 62.  It makes
 ``random_connected``'s draws into one n*n-bit adjacency int, and bit-matrix
@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator
@@ -202,79 +203,63 @@ def _orbit_table(n: int) -> tuple[int, ...]:
     return tuple(least)
 
 
-def _sweep_mask_range(n: int, lo: int, hi: int) -> SweepSummary:
-    """Evaluate every labeled graph whose edge-subset index lies in [lo, hi).
+_Key = tuple[int, int | None, int | None]  # (m, d, W); d = W = None when disconnected
 
-    Mask bit i is the i-th pair of ``combinations(range(n), 2)``.  The range
-    is cut at multiples of ``_BLOCK``, and each block at ``base`` is a set of
-    planes, Python ints whose bit g (the lane g) stands for mask base + g:
-    - the edge plane of pair i < ``_BLOCK_BITS`` is plane i of
-      ``_pair_planes``, set where bit i of g is set, the same in every block;
-    - the edge plane of a higher pair is all ones or all zeros, by bit i of
-      base;
-    - ``live`` holds the lanes inside [lo, hi), so spans need not align.
-    ``_block_classes`` splits the live lanes by (m, d, W), and each class is
-    one ``record`` call with its lane count and the ``bound_report`` of its
-    key, cached over the span; a whole block whose orbit was met before
-    records that orbit's (report, count) pairs.  A block's classes share one
-    graph6 source, which encodes the block's tight lanes in mask order, so the
-    examples ``record`` keeps are the first tight masks of the range,
-    whichever class asks for them.
-    """
+
+def _census(n: int) -> tuple[Counter[_Key], int]:
+    """The count of labeled graphs of order n per (m, d, W) key, and block 0's
+    tight lanes.  Mask bit i is the i-th pair of ``combinations(range(n), 2)``;
+    each orbit's least block, met in ascending order, block 0 first, counts
+    once per block of its orbit."""
     pairs = list(combinations(range(n), 2))
-    summary = SweepSummary()
-    report_of = functools.cache(bound_report)
-    least = _orbit_table(n)
-    counted: dict[int, list[tuple[BoundReport | None, int]]] = {}
-
-    def classes(base: int, live: int) -> list[tuple[int, BoundReport | None]]:
-        return [(lanes, None if key is None else report_of(n, *key))
-                for lanes, key in _block_classes(n, pairs, base, live)]
-
-    for base in range(lo - lo % _BLOCK, hi, _BLOCK):
-        live = (1 << min(hi - base, _BLOCK)) - (1 << max(lo - base, 0))
-        orbit = least[base >> _BLOCK_BITS] if live == (1 << _BLOCK) - 1 else None
-        counts = counted.get(orbit)
-        if counts is None:
-            block = classes(base, live)
-            counts = [(report, lanes.bit_count()) for lanes, report in block]
-            if orbit is not None:
-                counted[orbit] = counts
-            source = lambda block=block: block
-        else:  # a reused block is evaluated only if record asks for a line
-            source = functools.partial(classes, base, live)
-        examples = _lane_graph6(n, pairs, base, source)
-        for report, count in counts:
-            summary.record(report, examples.__next__, count)
-    return summary
+    live = (1 << min(1 << len(pairs), _BLOCK)) - 1  # n <= 5 has fewer masks than a block
+    census: Counter[_Key] = Counter()
+    for h, weight in Counter(_orbit_table(n)).items():
+        classes = _block_classes(n, pairs, h << _BLOCK_BITS, live)
+        for lanes, key in classes:
+            census[key] += weight * lanes.bit_count()
+        if not h:
+            first = _tight_lanes(n, classes)
+    return census, first
 
 
-def _lane_graph6(n: int, pairs: list[tuple[int, int]], base: int,
-                 block: Callable[[], list]) -> Iterator[str]:
-    """The graph6 lines of the tight lanes of the block at ``base``, in mask
-    order; nothing runs, ``block()`` included, before ``record`` asks for a
-    line, so a block past the example cap costs nothing here."""
-    # the classes are disjoint, so their sum is their union
-    tight = sum(lanes for lanes, report in block() if report is not None and report.tight)
-    while tight:
-        mask = base + (tight & -tight).bit_length() - 1
-        tight &= tight - 1
-        yield write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+def _tight_lanes(n: int, classes: list[tuple[int, _Key]]) -> int:
+    """The lanes of a block's tight classes; the classes are disjoint, so
+    their sum is their union."""
+    return sum(lanes for lanes, (m, d, w) in classes
+               if d is not None and bound_report(n, m, d, w).tight)
+
+
+def _tight_graph6(n: int, first: int) -> Iterator[str]:
+    """The graph6 lines of the tight graphs of order n in mask order, from
+    block 0's tight lanes ``first`` on; a later block, always whole, is
+    evaluated only when ``record`` asks for a line past the blocks before it."""
+    pairs = list(combinations(range(n), 2))
+    tight = first
+    for base in range(0, 1 << len(pairs), _BLOCK):
+        if base:
+            tight = _tight_lanes(n, _block_classes(n, pairs, base, (1 << _BLOCK) - 1))
+        while tight:
+            mask = base + (tight & -tight).bit_length() - 1
+            tight &= tight - 1
+            yield write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
 
 
 def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
-                   ) -> list[tuple[int, tuple[int, int, int] | None]]:
+                   ) -> list[tuple[int, _Key]]:
     """Split the ``live`` lanes of the block at ``base`` by (m, d, W).
 
-    Returns (lanes, (m, d, W)) per class, with ``None`` for the disconnected
-    lanes.  m and W come from the same idiom, a bit-sliced counter that
-    ``_add`` sums planes into and ``_split`` reads per lane: ``sizes`` sums
-    the edge planes, so it holds every lane's m.  ``reach[u][v]`` holds the
-    lanes where dist(u, v) <= k; level k + 1 ORs ``reach[u][w] & adj[w][v]``
-    into it.  A lane's diameter is the level at which all its pairs are
-    reached; one still short at level n - 1 is disconnected.  ``counter``
-    sums the reached pairs of levels 1..k - 1 per lane, so a lane complete at
-    level k has W = k * P - counter over its P pairs.
+    Returns (lanes, (m, d, W)) per class; the disconnected lanes split by m,
+    with d = W = None.  Lane g is mask base + g, so the edge plane of a pair
+    above the lane bits is all ones or all zeros.  m and W come from the same
+    idiom, a bit-sliced counter that ``_add`` sums planes into and ``_split``
+    reads per lane: ``sizes`` sums the edge planes, so it holds every lane's
+    m.  ``reach[u][v]`` holds the lanes where dist(u, v) <= k; level k + 1 ORs
+    ``reach[u][w] & adj[w][v]`` into it.  A lane's diameter is the level at
+    which all its pairs are reached; one still short at level n - 1 is
+    disconnected.  ``counter`` sums the reached pairs of levels 1..k - 1 per
+    lane, so a lane complete at level k has W = k * P - counter over its P
+    pairs.
     """
     pair_planes = _pair_planes()
     high = base >> _BLOCK_BITS
@@ -312,8 +297,7 @@ def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
                     r |= row[w] & col[w]
             nxt[u][v] = nxt[v][u] = r
         reach = nxt
-    if done != live:
-        classes.append((live ^ done, None))
+    classes.extend((lanes, (m, None, None)) for lanes, m in _split(live ^ done, sizes))
     return classes
 
 
@@ -362,15 +346,23 @@ def _partitioned(sweep: Callable[..., SweepSummary], arg: object, total: int,
 def exhaustive_sweep(n: int, workers: int | None = None) -> SweepSummary:
     """Check the bound on every labeled graph of order n, 2 <= n <= 8.
 
-    Iterates all 2^(n(n-1)/2) edge subsets; disconnected graphs and graphs of
-    diameter < 2 are skipped and counted.  It runs in this process: ``workers``
-    is checked as in ``random_sweep``, but one block per orbit (11 at n = 7)
+    Covers all 2^(n(n-1)/2) edge subsets; disconnected graphs and graphs of
+    diameter < 2 are skipped and counted.  The census keys share one source
+    of tight examples in mask order, so ``record`` keeps the first tight
+    masks, whichever key asks.  It runs in this process: ``workers`` is
+    checked as in ``random_sweep``, but one block per orbit (11 at n = 7)
     costs less than starting a pool.
     """
     if not 2 <= n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive sweep supports 2 <= n <= {_EXHAUSTIVE_MAX_N}, got {n}")
     resolve_workers(workers)
-    return _sweep_mask_range(n, 0, 1 << (n * (n - 1) // 2))
+    census, first = _census(n)
+    examples = _tight_graph6(n, first)
+    summary = SweepSummary()
+    for (m, d, w), count in census.items():
+        report = None if d is None else bound_report(n, m, d, w)
+        summary.record(report, examples.__next__, count)
+    return summary
 
 
 def _fold(graphs: Iterable[Graph | None]) -> SweepSummary:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -254,15 +255,29 @@ class TestBound:
         assert exc.value.code == 2
 
 
+# sha256 of ``verify --exhaustive N --json --threads 1`` stdout, frozen from
+# the sweep that made one record call per class of every block
+EXHAUSTIVE_JSON_SHA256 = {
+    2: "7d4ae22bd29af0cd7157128984776e78b4b322969d0ec9677040ce1f5e73775a",
+    3: "371fb3ac0c409f8d559cdce503b0d11332dff8324fd365404162395417bad0e5",
+    4: "82da958055ea44c9ef8233fe2e67dac8c4b0fde384bc198d9f125c83d522f8f5",
+    5: "a6569c5379635bc1ebebffa9bbd99037a8ac93a7a248e1df59170eddac21eaca",
+    6: "3a5c56fb4688a62bbf2864644a9e1c39cb5c71146ac56d6691edace025f89289",
+    7: "629282d3720a099a213edd3f0a1a45a4de5d9c510317809fde8a4eb60ef682b7",
+}
+
+
 class TestVerify:
-    def test_exhaustive_3_json(self, capsys):
-        code, out, _ = run_cli(["verify", "--exhaustive", "3", "--json", "--threads", "1"], capsys)
+    @pytest.mark.parametrize("n", sorted(EXHAUSTIVE_JSON_SHA256))
+    def test_exhaustive_json(self, n, capsys):
+        code, out, _ = run_cli(["verify", "--exhaustive", str(n), "--json", "--threads", "1"], capsys)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXHAUSTIVE_JSON_SHA256[n]
         summary = json.loads(out)
-        assert summary["graphs_checked"] == 8
-        assert summary["applicable"] == 3
+        assert summary["graphs_checked"] == 2 ** (n * (n - 1) // 2)
         assert summary["violations"] == 0
-        assert summary["tight_count"] == 3
+        if n == 3:
+            assert summary["applicable"] == summary["tight_count"] == 3
 
     def test_stream_witnesses(self, capsys, tmp_path):
         f = tmp_path / "w.g6"

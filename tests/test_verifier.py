@@ -6,7 +6,8 @@ import sys
 import tracemalloc
 import types
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb, factorial
 from pathlib import Path
 
 import networkx as nx
@@ -41,12 +42,15 @@ from wienerbound.verifier import (
     _BLOCK,
     TIGHT_EXAMPLE_CAP,
     SweepSummary,
+    _block_classes,
+    _census,
     _corpus_report,
     _fold,
     _matrix_distances,
     _orbit_table,
     _partitioned,
-    _sweep_mask_range,
+    _tight_graph6,
+    _tight_lanes,
     iter_random_corpus,
     resolve_workers,
 )
@@ -95,6 +99,15 @@ FROZEN_TIGHT_EXAMPLES = {
 
 def _digest(examples):
     return hashlib.sha256("\n".join(examples).encode()).hexdigest()
+
+
+def _pairs(n):
+    """The vertex pairs of order n, mask bit i standing for pair i."""
+    return list(combinations(range(n), 2))
+
+
+def _mask_graph(n, mask):
+    return Graph(n, [p for i, p in enumerate(_pairs(n)) if mask >> i & 1])
 
 
 class PoolLog(list):
@@ -224,13 +237,15 @@ class TestExhaustiveSweep:
             assert _digest(examples) == FROZEN_TIGHT_EXAMPLES[n], workers
         assert fake_pool == []
 
-    def test_frozen_tight_examples_at_8(self):
-        # block 0 holds more than 100 tight lanes, so its examples are those
-        # of the full 2**28-mask sweep
-        summary = _sweep_mask_range(8, 0, 1 << 15)
-        assert summary.tight_count == 942
-        assert len(summary.tight_examples) == 100
-        assert _digest(summary.tight_examples) == FROZEN_TIGHT_EXAMPLES[8]
+    def test_frozen_tight_examples_at_8(self, counted_blocks):
+        # block 0 holds more than 100 tight lanes, so the walk's first 100
+        # lines are the examples of the full 2**28-mask sweep, and it
+        # evaluates no block for them
+        first = _tight_lanes(8, _block_classes(8, _pairs(8), 0, (1 << _BLOCK) - 1))
+        assert first.bit_count() == 942
+        examples = list(islice(_tight_graph6(8, first), 100))
+        assert counted_blocks == []
+        assert _digest(examples) == FROZEN_TIGHT_EXAMPLES[8]
 
     def test_tight_example_cap(self):
         summary = exhaustive_sweep(5, workers=1)
@@ -260,11 +275,25 @@ class TestExhaustiveSweep:
         (8, (0b1010101010101 << 15) + 77, (0b1010101010101 << 15) + 700),
     ])
     def test_span_matches_stream(self, n, lo, hi):
-        # unaligned spans and a block edge against the distance engine's path
-        pairs = list(combinations(range(n), 2))
-        lines = [write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
-                 for mask in range(lo, hi)]
-        assert _sweep_mask_range(n, lo, hi).to_dict() == stream_sweep(lines).to_dict()
+        # unaligned spans and a block edge: every lane's (m, d, W) against the
+        # distance engine's on the graph of its mask
+        kernel = {}
+        for base in range(lo - lo % _BLOCK, hi, _BLOCK):
+            live = (1 << min(hi - base, _BLOCK)) - (1 << max(lo - base, 0))
+            for lanes, key in _block_classes(n, _pairs(n), base, live):
+                while lanes:
+                    kernel[base + (lanes & -lanes).bit_length() - 1] = key
+                    lanes &= lanes - 1
+        engine = {}
+        for mask in range(lo, hi):
+            g = _mask_graph(n, mask)
+            try:
+                report = evaluate(g)
+            except DisconnectedGraphError:
+                engine[mask] = (g.m, None, None)
+            else:
+                engine[mask] = (report.m, report.d, report.wiener)
+        assert kernel == engine
 
     def test_workers_agree_at_6(self, fake_pool):
         # the 3-worker run sweeps in this process
@@ -286,23 +315,23 @@ class TestExhaustiveSweep:
         assert fake_pool == []
 
     def test_reused_block_gives_examples(self, counted_blocks, monkeypatch):
-        # blocks 1 and 2 share an orbit, so block 2 records block 1's classes
-        # and is evaluated only when record asks it for example lines
+        # blocks 1 and 2 share an orbit, so the census evaluates block 1 only;
+        # with room for every tight graph of blocks 0-2, the walk evaluates
+        # blocks 1 and 2 for their lines, and those kept from block 2 are the
+        # stream path's over its masks
         from wienerbound import verifier
 
         assert _orbit_table(7)[1] == _orbit_table(7)[2] == 1
-        assert len(_sweep_mask_range(7, _BLOCK, 3 * _BLOCK).tight_examples) == 100
-        assert counted_blocks == [_BLOCK]
-        monkeypatch.setattr(verifier, "TIGHT_EXAMPLE_CAP", 1 << 16)
-        counted_blocks.clear()
-        summary = _sweep_mask_range(7, _BLOCK, 3 * _BLOCK)
-        assert counted_blocks == [_BLOCK, 2 * _BLOCK]
-        expected = _sweep_mask_range(7, _BLOCK, 2 * _BLOCK)
-        second = _sweep_mask_range(7, 2 * _BLOCK, 3 * _BLOCK)
-        assert second.tight_examples  # the lines the reused block must give
-        expected.merge(second)
-        assert summary.to_dict() == expected.to_dict()
-        assert len(summary.tight_examples) == summary.tight_count
+        tight = [_tight_lanes(7, _block_classes(7, _pairs(7), h * _BLOCK, (1 << _BLOCK) - 1))
+                 .bit_count() for h in range(3)]
+        monkeypatch.setattr(verifier, "TIGHT_EXAMPLE_CAP", sum(tight))
+        summary = exhaustive_sweep(7, workers=1)
+        orbits = [h * _BLOCK for h in sorted(set(_orbit_table(7)))]
+        assert counted_blocks == orbits + [_BLOCK, 2 * _BLOCK]
+        assert len(summary.tight_examples) == sum(tight)
+        stream = _fold(_mask_graph(7, mask) for mask in range(2 * _BLOCK, 3 * _BLOCK))
+        assert stream.tight_count == tight[2] > 0  # the lines the reused block must give
+        assert summary.tight_examples[-tight[2]:] == stream.tight_examples
 
     @pytest.mark.parametrize("n, orbits", [(n, 1) for n in range(2, 7)] + [(7, 11), (8, 968)])
     def test_orbit_table(self, n, orbits):
@@ -320,9 +349,7 @@ class TestExhaustiveSweep:
         (8, [*range(1, 8192, 409), 0b1010101010101, 0b0101010101010, 8191]),
     ])
     def test_orbit_blocks_share_classes(self, n, highs):
-        from wienerbound.verifier import _block_classes
-
-        pairs = list(combinations(range(n), 2))
+        pairs = _pairs(n)
         least = _orbit_table(n)
 
         def classes(h):
@@ -335,18 +362,49 @@ class TestExhaustiveSweep:
             assert classes(h) == classes(least[h]), h
 
     def test_block_memory_bounded(self):
-        # four blocks of 2**15 masks at n = 7 peak near 0.9 MiB, two live
-        # blocks' planes; one block of 2**17 masks peaks above 2 MiB
-        _sweep_mask_range(7, 0, 1 << 10)  # builds the cached planes every block shares
+        # the n = 7 sweep holds one block's planes at a time and peaks near
+        # 0.9 MiB; one block of 2**17 masks peaks above 2 MiB
+        exhaustive_sweep(7, workers=1)  # builds the cached planes and orbit table
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            _sweep_mask_range(7, 0, 1 << 17)
+            exhaustive_sweep(7, workers=1)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         assert peak < 3 << 19, peak  # 1.5 MiB
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_census_size_marginal(self, n):
+        # each set of m of the N pairs is one labeled graph: C(N, m) per size
+        pairs = n * (n - 1) // 2
+        sizes = Counter()
+        for (m, d, w), count in _census(n)[0].items():
+            sizes[m] += count
+        assert dict(sizes) == {m: comb(pairs, m) for m in range(pairs + 1)}
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_census_hamiltonian_paths(self, n):
+        # a graph of diameter n - 1 is a path through every vertex: n!/2
+        # labeled graphs, each of size n - 1 and Wiener index C(n + 1, 3)
+        longest = {key: count for key, count in _census(n)[0].items() if key[1] == n - 1}
+        assert longest == {(n - 1, n - 1, comb(n + 1, 3)): factorial(n) // 2}
+
+    def test_one_record_per_key(self, monkeypatch):
+        reports = []
+        real = SweepSummary.record
+
+        def counting(self, report, graph6, count=1):
+            reports.append(report)
+            real(self, report, graph6, count)
+
+        monkeypatch.setattr(SweepSummary, "record", counting)
+        summary = exhaustive_sweep(7, workers=1)
+        assert summary.graphs_checked == FROZEN_SWEEPS[7]["graphs_checked"]
+        assert len(reports) == len(_census(7)[0]) == 108
+        # the disconnected keys split by size: every m from 0 to C(6, 2)
+        assert reports.count(None) == 16
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_tight_example_encoded_only_when_kept(self, n, monkeypatch):
