@@ -43,6 +43,8 @@ _RECORD_COLUMNS = (
     ("graph6", "<16"), ("n", ">6"), ("m", ">8"), ("d", ">4"),
     ("wiener", ">12"), ("bound", ">12"), ("gap", ">8"), ("tight", ">5"),
 )
+# characters of a JSON string value escaped and written at a time
+_JSON_SLICE = 1 << 16
 _SHARPNESS_COLUMNS = (
     ("label", "<14"), ("n", ">4"), ("m", ">5"), ("d", ">3"),
     ("wiener", ">9"), ("bound", ">9"), ("gap", ">6"), ("tight", ">5"),
@@ -61,12 +63,11 @@ def _graph_record(g: Graph, allow_disconnected: bool) -> dict:
     """Flat output record.  A disconnected or empty graph is an error, or,
     when ``allow_disconnected`` is set, a record with null distance fields."""
     record = dict.fromkeys(_RECORD_FIELDS)
-    # encode first: after the distance pass it raised compute's peak RSS 81 -> 89 MB
-    record.update(graph6=write_graph6(g), n=g.n, m=g.m, applicable=False)
     try:
         report = evaluate(g) if g.n else None  # the distance pass needs a vertex
     except DisconnectedGraphError:
         report = None
+    record.update(graph6=write_graph6(g), n=g.n, m=g.m, applicable=False)
     if report is None:
         if not allow_disconnected:
             raise DisconnectedGraphError(
@@ -87,10 +88,22 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _write_json(obj: object) -> None:
-    # two writes: a graph6 field can be megabytes, so no joined copy
-    sys.stdout.write(json.dumps(obj))
-    sys.stdout.write("\n")
+def _write_json(obj: dict[str, object]) -> None:
+    """Print ``json.dumps(obj)`` and a newline.  A string value goes out in
+    slices, each escaped on its own: a graph6 field can be megabytes, and
+    neither its escaped form nor its encoded bytes are ever held whole."""
+    write = sys.stdout.write
+    write("{")
+    for i, (key, value) in enumerate(obj.items()):
+        write(f"{', ' if i else ''}{json.dumps(key)}: ")
+        if isinstance(value, str):
+            write('"')
+            for lo in range(0, len(value), _JSON_SLICE):
+                write(json.dumps(value[lo:lo + _JSON_SLICE])[1:-1])
+            write('"')
+        else:
+            write(json.dumps(value))
+    write("}\n")
 
 
 def _write_rows(

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import heapq
 from itertools import chain, combinations, compress
+from math import isqrt
 from typing import Iterator
 
-from .graph import Graph, _pair_at
+from .graph import Graph
 from .rng import SplitMix64
 
 
@@ -172,11 +173,15 @@ def random_connected_m(n: int, m: int, seed: int) -> Graph:
     root = SplitMix64(seed)
     tree_rng = root.split()
     pick_rng = root.split()
+    vertex = list(range(n))  # one int object per vertex, shared by every pair
     edges = {
-        (u, v) if u < v else (v, u)
+        (vertex[u], vertex[v]) if u < v else (vertex[v], vertex[u])
         for u, v in _random_tree_edges(n, tree_rng)
     }
     while len(edges) < m:
-        # a pair index in graph6's column-major order
-        edges.add(_pair_at(pick_rng.below(max_m)))
+        # a pair index in graph6's column-major order, (0,1),(0,2),(1,2),(0,3),...:
+        # v is the largest column with v(v-1)/2 <= i
+        i = pick_rng.below(max_m)
+        v = (1 + isqrt(8 * i + 1)) // 2
+        edges.add((vertex[i - v * (v - 1) // 2], vertex[v]))
     return Graph(n, edges)

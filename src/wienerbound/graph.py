@@ -9,9 +9,7 @@ operation elsewhere in the package refuses them.
 
 from __future__ import annotations
 
-import re
 from collections import deque
-from math import isqrt
 from typing import Iterable, Iterator, Tuple
 
 from .errors import Graph6ParseError
@@ -22,7 +20,7 @@ Edge = Tuple[int, int]
 # 4-byte header up to 258047.  The 8-byte form is deliberately unsupported.
 _G6_SMALL_MAX = 62
 _G6_EXT_MAX = 258047
-_G6_PREFIX = ">>graph6<<"
+_G6_PREFIX = b">>graph6<<"
 
 
 class Graph:
@@ -116,24 +114,21 @@ def is_connected(g: Graph) -> bool:
 
 
 # Python-level work is O(m): only C-level bytes scans see all n(n-1)/2 bits.
-# Decoding checks the alphabet with one translate, finds every byte other than
-# '?' (group 0) with the regex and expands it through _G6_SET_BITS, the offsets
-# of the set bits of each 6-bit group, most significant first.  Encoding adds
-# 63 to every group with one translate.
+# Both directions work in slices of _G6_CHUNK data bytes, so a megabyte line is
+# held whole only as decoding's one ASCII copy and as encoding's result.
+# Decoding checks each slice's alphabet with one translate, then finds every
+# byte other than '?' (group 0) with find(1) over the slice translated to 0/1,
+# and expands it through _G6_SET_BITS, the offsets of the set bits of each
+# 6-bit group, most significant first.  Encoding adds each bit to a slice of
+# '?' bytes.
+_G6_CHUNK = 1 << 16
 _G6_ALPHABET = bytes(range(63, 127))
-_G6_NONZERO = re.compile(rb"[@-~]")
+_G6_NONZERO = bytes.maketrans(_G6_ALPHABET, b"\0" + b"\1" * 63)
 _G6_SET_BITS = tuple(
     tuple(j for j in range(6) if group >> (5 - j) & 1) for group in range(64)
 )
-_G6_ENCODE = _G6_ALPHABET + bytes(256 - 64)
-
-
-def _pair_at(i: int) -> Edge:
-    # pair (u, v), u < v, at column-major bit position i = v(v-1)/2 + u:
-    # (0,1),(0,2),(1,2),(0,3),(1,3),(2,3),...
-    # v is the largest column with v(v-1)/2 <= i
-    v = (1 + isqrt(8 * i + 1)) // 2
-    return (i - v * (v - 1) // 2, v)
+# the ASCII characters that str.strip() removes
+_G6_SPACE = b" \t\n\v\f\r\x1c\x1d\x1e\x1f"
 
 
 def _parse_order(raw: bytes) -> tuple[int, int]:
@@ -167,31 +162,58 @@ def parse_graph6(text: str) -> Graph:
     headers, bytes outside 63..126, wrong data length, and nonzero padding
     bits.
     """
-    # The data bytes are read in place after the header: a line can be megabytes.
+    # One ASCII copy of the line, read through offsets: a line can be megabytes.
     try:
-        raw = text.strip().removeprefix(_G6_PREFIX).encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise Graph6ParseError("graph6 input is not ASCII") from exc
-    n, offset = _parse_order(raw)
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:  # unless only whitespace outside ASCII surrounds it
+        try:
+            raw = text.strip().encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6ParseError("graph6 input is not ASCII") from exc
+    start, end = 0, len(raw)  # strip in slices
+    while start < end and raw[start] in _G6_SPACE:
+        chunk = raw[start:start + _G6_CHUNK]
+        start += len(chunk) - len(chunk.lstrip(_G6_SPACE))
+    while end > start and raw[end - 1] in _G6_SPACE:
+        chunk = raw[max(start, end - _G6_CHUNK):end]
+        end -= len(chunk) - len(chunk.rstrip(_G6_SPACE))
+    if raw.startswith(_G6_PREFIX, start, end):
+        start += len(_G6_PREFIX)
+    n, offset = _parse_order(raw[start:min(start + 4, end)])
+    offset += start
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(raw) - offset != nbytes:
+    if end - offset != nbytes:
         raise Graph6ParseError(
-            f"expected {nbytes} data bytes for n={n}, got {len(raw) - offset}"
+            f"expected {nbytes} data bytes for n={n}, got {end - offset}"
         )
-    # the header bytes passed _parse_order, so the first bad byte is a data byte
-    bad = raw.translate(None, _G6_ALPHABET)
-    if bad:
-        raise Graph6ParseError(f"data byte {bad[0]} outside 63..126")
+    chunks = range(offset, end, _G6_CHUNK)
+    for lo in chunks:
+        bad = raw[lo:min(lo + _G6_CHUNK, end)].translate(None, _G6_ALPHABET)
+        if bad:
+            raise Graph6ParseError(f"data byte {bad[0]} outside 63..126")
     padding = 6 * nbytes - nbits
-    if padding and (raw[-1] - 63) & ((1 << padding) - 1):
+    if padding and (raw[end - 1] - 63) & ((1 << padding) - 1):
         raise Graph6ParseError("nonzero padding bits")
-    edges = [
-        _pair_at(6 * (match.start() - offset) + j)
-        for match in _G6_NONZERO.finditer(raw, offset)
-        for j in _G6_SET_BITS[ord(match[0]) - 63]
-    ]
-    return Graph(n, edges)
+    # Bits come in column order, (0,1),(0,2),(1,2),(0,3),...: bit i is pair
+    # (i - base, v) while base <= i < base + v, with base = v(v-1)/2.
+    vertex = list(range(n))  # one int object per vertex, shared by every pair
+    pairs = []
+    v = 1
+    base = 0
+    for lo in chunks:
+        nonzero = raw[lo:min(lo + _G6_CHUNK, end)].translate(_G6_NONZERO)
+        j = nonzero.find(1)
+        while j >= 0:
+            first = 6 * (lo - offset + j)
+            for i in _G6_SET_BITS[raw[lo + j] - 63]:
+                i += first
+                while i >= base + v:
+                    base += v
+                    v += 1
+                pairs.append((vertex[i - base], vertex[v]))
+            j = nonzero.find(1, j + 1)
+    return Graph(n, pairs)
 
 
 def read_graph6(lines: Iterable[str], skip_bad: bool = False) -> Iterator[Graph | None]:
@@ -205,7 +227,7 @@ def read_graph6(lines: Iterable[str], skip_bad: bool = False) -> Iterator[Graph 
     lineno = 0
     for line in lines:
         lineno += 1
-        if not line.strip():
+        if not line or line.isspace():  # not line.strip(): that copies the line
             continue
         try:
             g = parse_graph6(line)
@@ -223,17 +245,33 @@ def write_graph6(g: Graph) -> str:
     if n > _G6_EXT_MAX:
         raise ValueError(f"graph6 encoding supports n <= {_G6_EXT_MAX}, got {n}")
     if n <= _G6_SMALL_MAX:
-        header = bytes([63 + n])
+        out = chr(63 + n)
     else:
-        header = bytes(
-            [126, 63 + (n >> 12), 63 + ((n >> 6) & 0x3F), 63 + (n & 0x3F)]
-        )
-    nbits = n * (n - 1) // 2
-    groups = bytearray((nbits + 5) // 6)
-    for u, v in _sorted_edges(g):
-        idx = v * (v - 1) // 2 + u
-        groups[idx // 6] |= 1 << (5 - idx % 6)
-    return (header + groups.translate(_G6_ENCODE)).decode("ascii")
+        out = "~" + chr(63 + (n >> 12)) + chr(63 + ((n >> 6) & 0x3F)) + chr(63 + (n & 0x3F))
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    # Slices of at most _G6_CHUNK bytes, each appended once it is complete.
+    # The string has no other reference, so CPython grows it in place and
+    # the line is never held twice.
+    lo = 0  # first data byte of the slice
+    groups = bytearray(b"?") * min(_G6_CHUNK, nbytes)
+    for v, a in enumerate(g.adj):  # column order: bit positions ascend
+        base = v * (v - 1) // 2
+        for u in a:
+            if u >= v:
+                break
+            i = base + u
+            k = i // 6 - lo
+            while k >= _G6_CHUNK:
+                out += groups.decode("ascii")
+                lo += _G6_CHUNK
+                k -= _G6_CHUNK
+                groups = bytearray(b"?") * min(_G6_CHUNK, nbytes - lo)
+            groups[k] += 1 << (5 - i % 6)
+    while lo < nbytes:
+        out += groups.decode("ascii")
+        lo += _G6_CHUNK
+        groups = bytearray(b"?") * min(_G6_CHUNK, nbytes - lo)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ n-by-n table.  There is one engine for every ``Graph``, in the standard
 library (the two sweep kernels in ``verifier`` take no ``Graph``): a
 bit-parallel multi-source BFS with one Python int per vertex, whose bit j
 marks source j of the current block as reached.  A block holds up to
-``_ROW_BITS // n`` sources, so one list of rows holds at most 2^27 bits
-(16 MiB); at n = 10,000 every source fits in one block.  Each level costs
-Python work per vertex not yet reached by every source, so long diameters are
-the slow case: path(3000) takes about 13 s on 2 vCPUs, against 0.7 s for
+``_ROW_BITS // n`` sources, so one list of rows holds at most 2^26 bits
+(8 MiB), and the sources split into the fewest such blocks, as even as they
+can be: n = 10,000 runs two blocks of 5,000.  Each level costs Python work
+per vertex not yet reached by every source, so long diameters are the slow
+case: path(3000) takes about 13 s on 2 vCPUs, against about 0.3 s for
 n = 10,000, m = 50,000.
 """
 
@@ -24,8 +25,8 @@ from typing import Mapping
 from .errors import DisconnectedGraphError
 from .graph import Graph, _bfs
 
-# Sources per block times n: one list of rows holds at most 16 MiB of bits.
-_ROW_BITS = 1 << 27
+# Sources per block times n: one list of rows holds at most 8 MiB of bits.
+_ROW_BITS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,9 @@ def _all_sources(g: Graph) -> tuple[dict[int, int], list[int]]:
     if n < 1:
         raise ValueError("distances require n >= 1")
     adj = g.adj
-    width = max(1, min(n, _ROW_BITS // n))
+    # the fewest blocks of at most _ROW_BITS // n sources, as even as they can be
+    blocks = -(-n // max(1, _ROW_BITS // n))
+    width = -(-n // blocks)
     ordered = [0] * n
     ecc = [0] * n
     for lo in range(0, n, width):

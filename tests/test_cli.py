@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 from wienerbound import generators
 from wienerbound.bounds import BoundReport, bound_report
-from wienerbound.cli import build_parser, main
+from wienerbound.cli import _write_json, build_parser, main
 from wienerbound.generators import petersen, prism, random_connected_m
 from wienerbound.graph import Graph, parse_graph6, write_edge_list, write_graph6
 from wienerbound.verifier import SHARPNESS_FAMILIES
@@ -183,6 +184,54 @@ class TestCompute:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["compute", "/nonexistent/x.g6"], capsys)
         assert code == 2
+
+    def test_long_line_file_and_stdin_agree(self, tmp_path):
+        # a line of about 11 codec slices gives the same bytes either way
+        f = tmp_path / "long.g6"
+        f.write_text(write_graph6(random_connected_m(3000, 9000, seed=6)) + "\n")
+        argv = [sys.executable, "-m", "wienerbound", "compute", "--json"]
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        from_file = subprocess.run(argv + [str(f)], capture_output=True, env=env)
+        with open(f, "rb") as stdin:
+            from_stdin = subprocess.run(argv, stdin=stdin, capture_output=True, env=env)
+        assert from_file.returncode == from_stdin.returncode == 0
+        assert from_file.stdout == from_stdin.stdout
+        record = json.loads(from_file.stdout)
+        assert record["graph6"] == f.read_text().strip() and record["m"] == 9000
+
+
+_SLICE = 1 << 16  # characters of a string value the JSON writer escapes at a time
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("at", [_SLICE - 1, _SLICE, 2 * _SLICE - 1])
+    def test_slices_match_json_dumps(self, at, capsys):
+        # a backslash on each side of a slice boundary, and other escapes near it
+        value = "?" * (at - 1) + "\\\\" + '"\u00e9\U0001f600\x01\udce9' + "~" * _SLICE
+        assert value[at - 1:at + 1] == "\\\\"
+        obj = {"graph6": value, "n": 3, "d": None, "tight": True, "values": [1, 2],
+               "nested": {"0": "\\"}, "empty": ""}
+        _write_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj) + "\n"
+
+    def test_empty_object(self, capsys):
+        _write_json({})
+        assert capsys.readouterr().out == "{}\n"
+
+    def test_long_value_is_written_a_few_slices_at_a_time(self, monkeypatch):
+        # neither the escaped record nor its encoded bytes are held whole
+        line = write_graph6(random_connected_m(3000, 15_000, seed=3))
+        record = {"graph6": line, "n": 3000, "m": 15_000, "tight": None}
+        with open(os.devnull, "w", encoding="ascii") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                _write_json(record)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak < 4 * _SLICE, (peak, len(line))
 
 
 class TestBound:

@@ -203,11 +203,17 @@ class TestRandomConnectedM:
     @pytest.mark.parametrize("args, digest", [
         ((50, 120, 9), "dee2ed487f5a462556e5b60d9fe88728a18124bff0ccc0a5a4f028de5a79e6f2"),
         ((1100, 3000, 5), "71d69df3355ba698b4512a4c1ddf7f993af76afbe4babb0e97c44a410fba2af3"),
+        ((2000, 10_000, 1), "130800ca50f092010b0a9dd8e92cedcd3032e420a93a151c4ee057b477ae5512"),
     ])
     def test_frozen_edge_lists(self, args, digest):
         # sha256 of repr(sorted(edges)), frozen from the float-sqrt pair inverse
         edges = sorted(random_connected_m(*args).edges)
         assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest
+
+    def test_pairs_share_one_int_per_vertex(self):
+        # the graph keeps one int object per vertex, not one per endpoint
+        g = random_connected_m(2000, 10_000, seed=1)
+        assert len({id(v) for a in g.adj for v in a}) <= g.n
 
 
 def _unmix64(z):

@@ -232,6 +232,132 @@ class TestReadGraph6:
         assert held < size, f"{held} bytes held for a {size}-byte line"
 
 
+_CHUNK = 1 << 16  # data bytes per slice of the codec
+
+
+def _g6_line(n, marks=()):
+    """A graph6 line of order n whose data bytes are '?' except at the
+    (data index, character) marks; the header is valid."""
+    if n <= 62:
+        header = chr(63 + n)
+    else:
+        header = "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    body = ["?"] * ((n * (n - 1) // 2 + 5) // 6)
+    for at, char in marks:
+        body[at] = char
+    return header + "".join(body)
+
+
+def _traced_peak(fn):
+    """Traced bytes allocated at the peak of ``fn()`` above the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# n = 3000 fills 749,750 data bytes, about 11.4 slices; n = 2999 has 5
+# padding bits in its last byte.
+_LAST_2999 = (2999 * 2998 // 2 + 5) // 6 - 1
+
+# Every message below was frozen from the codec before it read in slices.
+_FROZEN_ERRORS = {
+    "empty": ("", "empty graph6 input"),
+    "blank": (" \t\n", "empty graph6 input"),
+    "prefix only": (">>graph6<<\n", "empty graph6 input"),
+    "header below alphabet": (":", "header byte 58 outside 63..126"),
+    "extended header byte": ("~?A!", "header byte 33 outside 63..126"),
+    "eight-byte header": ("~~" + "?" * 10, "8-byte graph6 order header is not supported"),
+    "truncated extended header": ("~?", "truncated extended order header"),
+    "truncated after space and prefix": (" >>graph6<<~?\r\n", "truncated extended order header"),
+    "non-canonical extended header": (
+        "~??J", "non-canonical extended header for n=11 (fits single byte)"),
+    "data byte": ("B:", "data byte 58 outside 63..126"),
+    "short data": ("A", "expected 1 data bytes for n=2, got 0"),
+    "long data": ("A__", "expected 1 data bytes for n=2, got 2"),
+    "space inside": ("A _", "expected 1 data bytes for n=2, got 2"),
+    "space after prefix": (">>graph6<< A_", "header byte 32 outside 63..126"),
+    "padding": ("A" + chr(63 + 16), "nonzero padding bits"),
+    "non-ASCII": ("A\u00e9", "graph6 input is not ASCII"),
+    "lone surrogate": ("A\udce9", "graph6 input is not ASCII"),
+    "non-ASCII inside whitespace": (" A\u00e9 ", "graph6 input is not ASCII"),
+    "bad first byte of slice 2": (_g6_line(3000, [(_CHUNK, ":")]), "data byte 58 outside 63..126"),
+    "bad last byte of slice 2": (
+        _g6_line(3000, [(2 * _CHUNK - 1, "\x7f")]), "data byte 127 outside 63..126"),
+    "bad bytes in slices 3 and 2 and a padding error": (
+        _g6_line(2999, [(2 * _CHUNK + 5, "!"), (2 * _CHUNK - 1, ">"), (_LAST_2999, "@")]),
+        "data byte 62 outside 63..126"),
+    "bad last byte of a padded multi-slice line": (
+        _g6_line(2999, [(_LAST_2999, ":")]), "data byte 58 outside 63..126"),
+    "padding of a multi-slice line": (
+        _g6_line(2999, [(_LAST_2999, chr(63 + 1))]), "nonzero padding bits"),
+    "multi-slice line one byte short": (
+        _g6_line(3000)[:-1] + "\n", "expected 749750 data bytes for n=3000, got 749749"),
+}
+
+
+class TestGraph6Slices:
+    """The codec reads and writes a long line in 64 KiB slices of data bytes."""
+
+    @pytest.mark.parametrize("name", list(_FROZEN_ERRORS))
+    def test_frozen_error_messages(self, name):
+        text, message = _FROZEN_ERRORS[name]
+        with pytest.raises(Graph6ParseError) as info:
+            parse_graph6(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", [
+        " \t>>graph6<<{}\r\n", "{}\x1c\x1f", "\x0b{}\x0c", "\u00a0{}\u2003", "\n" * 70_000 + "{}",
+    ])
+    def test_whitespace_and_prefix_around_a_long_line(self, text):
+        # str.strip() whitespace, ASCII or not, and runs longer than a slice
+        g = random_connected_m(2999, 6000, seed=4)
+        assert parse_graph6(text.format(write_graph6(g))) == g
+
+    @pytest.mark.parametrize("n", [1100, 2999])
+    def test_nx_round_trip_across_slices(self, n):
+        # one pair at each side of every slice boundary, plus a sparse graph
+        g = random_connected_m(n, 2 * n, seed=n)
+        nbits = n * (n - 1) // 2
+        bits = {i for b in range(6 * _CHUNK, nbits, 6 * _CHUNK) for i in (b - 1, b)}
+        bits |= {0, nbits - 1}
+        pairs = []
+        for i in sorted(bits):
+            v = next(v for v in range(1, n) if v * (v + 1) // 2 > i)
+            pairs.append((i - v * (v - 1) // 2, v))
+        g = Graph(n, sorted(g.edges) + pairs)
+        line = write_graph6(g)
+        assert from_nx(nx.from_graph6_bytes(line.encode())) == g
+        assert parse_graph6(line + "\n") == g
+
+    def test_parsed_pairs_share_one_int_per_vertex(self):
+        g = parse_graph6(write_graph6(random_connected_m(1100, 5500, seed=2)))
+        assert len({id(v) for a in g.adj for v in a}) <= g.n
+
+    def test_parse_holds_one_copy_of_the_line(self):
+        # the traced peak of parsing is the line once plus building the Graph
+        g = random_connected_m(3000, 15_000, seed=3)
+        line = write_graph6(g) + "\n"
+        column_order = sorted(g.edges, key=lambda e: (e[1], e[0]))
+
+        def build():
+            vertex = list(range(g.n))
+            return Graph(g.n, [(vertex[u], vertex[v]) for u, v in column_order])
+
+        graph = _traced_peak(build)
+        parsed = _traced_peak(lambda: parse_graph6(line))
+        assert parsed < graph + 1.25 * len(line), (parsed, graph, len(line))
+
+    def test_write_holds_one_copy_of_the_line(self):
+        g = random_connected_m(3000, 15_000, seed=3)
+        size = len(write_graph6(g))
+        written = _traced_peak(lambda: write_graph6(g))
+        assert written < 1.25 * size, (written, size)
+
+
 class TestGraph6Write:
     def test_k2(self):
         assert write_graph6(Graph(2, [(0, 1)])) == "A_"

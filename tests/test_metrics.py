@@ -135,6 +135,9 @@ class TestDistribution:
         one_block = peak()
         monkeypatch.setattr(metrics, "_ROW_BITS", 128 * g.n)
         assert peak() < 0.75 * one_block
+        # blocks are even: at most 400 sources a block run 300 + 300, not 400 + 200
+        monkeypatch.setattr(metrics, "_ROW_BITS", 400 * g.n)
+        assert peak() < 0.77 * one_block
 
     def test_blocked_engine_detects_disconnection(self):
         # the sources run in blocks; the 600-vertex graph splits across them
