@@ -43,7 +43,7 @@ _RECORD_COLUMNS = (
     ("graph6", "<16"), ("n", ">6"), ("m", ">8"), ("d", ">4"),
     ("wiener", ">12"), ("bound", ">12"), ("gap", ">8"), ("tight", ">5"),
 )
-# characters of a JSON string value escaped and written at a time
+# characters of a long string, a JSON value or a table cell, written at a time
 _JSON_SLICE = 1 << 16
 _SHARPNESS_COLUMNS = (
     ("label", "<14"), ("n", ">4"), ("m", ">5"), ("d", ">3"),
@@ -109,7 +109,9 @@ def _write_json(obj: dict[str, object]) -> None:
 def _write_rows(
     rows: Iterable[dict], as_json: bool, columns: tuple[tuple[str, str], ...]
 ) -> None:
-    """One JSON object per row, or a table whose header comes with the first row."""
+    """One JSON object per row, or a table whose header comes with the first
+    row.  A table cell longer than a slice, so wider than any column, is
+    written in slices: a megabyte graph6 cell is never copied."""
     header = False
     for row in rows:
         if as_json:
@@ -118,7 +120,15 @@ def _write_rows(
         if not header:
             sys.stdout.write(" ".join(f"{key:{spec}}" for key, spec in columns) + "\n")
             header = True
-        sys.stdout.write(" ".join(f"{_cell(row[key]):{spec}}" for key, spec in columns) + "\n")
+        for i, (key, spec) in enumerate(columns):
+            cell = _cell(row[key])
+            sys.stdout.write(" " if i else "")
+            if len(cell) > _JSON_SLICE:
+                for lo in range(0, len(cell), _JSON_SLICE):
+                    sys.stdout.write(cell[lo:lo + _JSON_SLICE])
+            else:
+                sys.stdout.write(f"{cell:{spec}}")
+        sys.stdout.write("\n")
 
 
 def _iter_compute_graphs(args: argparse.Namespace) -> Iterator[Graph]:
@@ -182,16 +192,16 @@ def _print_summary(summary: SweepSummary, as_json: bool) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    workers = resolve_workers(args.threads)  # checked in every mode; only --random uses it
     if args.exhaustive is not None:
-        summary = exhaustive_sweep(args.exhaustive, workers=args.threads)
+        summary = exhaustive_sweep(args.exhaustive)
     elif args.stream is not None:
-        resolve_workers(args.threads)  # one worker rule for every mode; streams run in one process
         with _open_input(args.stream) as stream_in:
             summary = stream_sweep(stream_in, skip_bad=args.skip_bad)
     else:
         if args.order is None:
             raise ValueError("--random needs --order")
-        summary = random_sweep(args.random, args.order, args.seed, workers=args.threads)
+        summary = random_sweep(args.random, args.order, args.seed, workers=workers)
     _print_summary(summary, args.json)
     return 0 if summary.violations == 0 else 1
 

@@ -16,7 +16,10 @@ keeps the first 15 pairs (the lane bits) among themselves maps mask
 the lanes, so blocks h and h' hold the same classes.  The bound depends on a
 graph only through (n, m, d), so a sweep is a census: one block per orbit (11
 of 64 at n = 7) is evaluated, its lane counts times the orbit's size summed
-per (m, d, W) key, and each key is one ``SweepSummary.record`` call.
+per (m, d, W) key, and each key is one ``SweepSummary.record`` call.  The
+tight examples are block 0's first tight masks: block 0 is every mask for
+n <= 6, and for n = 7 and 8 its 2**(16 - n) masks that join vertex 0 to every
+other vertex have diameter 2, so each of them is tight.
 
 The random sweep's kernel builds no ``Graph`` for orders up to 62.  It makes
 ``random_connected``'s draws into one n*n-bit adjacency int, and bit-matrix
@@ -206,43 +209,29 @@ def _orbit_table(n: int) -> tuple[int, ...]:
 _Key = tuple[int, int | None, int | None]  # (m, d, W); d = W = None when disconnected
 
 
-def _census(n: int) -> tuple[Counter[_Key], int]:
+def _census(n: int) -> tuple[Counter[_Key], list[tuple[int, _Key]]]:
     """The count of labeled graphs of order n per (m, d, W) key, and block 0's
-    tight lanes.  Mask bit i is the i-th pair of ``combinations(range(n), 2)``;
-    each orbit's least block, met in ascending order, block 0 first, counts
-    once per block of its orbit."""
+    classes, whose tight lanes, at least 128, give the sweep's examples.  Mask
+    bit i is the i-th pair of ``combinations(range(n), 2)``; each orbit's least
+    block counts once per block of its orbit, block 0 last, so its classes are
+    held only after the other blocks' planes are freed."""
     pairs = list(combinations(range(n), 2))
     live = (1 << min(1 << len(pairs), _BLOCK)) - 1  # n <= 5 has fewer masks than a block
     census: Counter[_Key] = Counter()
-    for h, weight in Counter(_orbit_table(n)).items():
+    for h, weight in reversed(Counter(_orbit_table(n)).items()):
         classes = _block_classes(n, pairs, h << _BLOCK_BITS, live)
         for lanes, key in classes:
             census[key] += weight * lanes.bit_count()
-        if not h:
-            first = _tight_lanes(n, classes)
-    return census, first
+    return census, classes
 
 
-def _tight_lanes(n: int, classes: list[tuple[int, _Key]]) -> int:
-    """The lanes of a block's tight classes; the classes are disjoint, so
-    their sum is their union."""
-    return sum(lanes for lanes, (m, d, w) in classes
-               if d is not None and bound_report(n, m, d, w).tight)
-
-
-def _tight_graph6(n: int, first: int) -> Iterator[str]:
-    """The graph6 lines of the tight graphs of order n in mask order, from
-    block 0's tight lanes ``first`` on; a later block, always whole, is
-    evaluated only when ``record`` asks for a line past the blocks before it."""
+def _tight_graph6(n: int, tight: int) -> Iterator[str]:
+    """The graph6 lines of block 0's masks in the lanes ``tight``, in order."""
     pairs = list(combinations(range(n), 2))
-    tight = first
-    for base in range(0, 1 << len(pairs), _BLOCK):
-        if base:
-            tight = _tight_lanes(n, _block_classes(n, pairs, base, (1 << _BLOCK) - 1))
-        while tight:
-            mask = base + (tight & -tight).bit_length() - 1
-            tight &= tight - 1
-            yield write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+    while tight:
+        mask = (tight & -tight).bit_length() - 1
+        tight &= tight - 1
+        yield write_graph6(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
 
 
 def _block_classes(n: int, pairs: list[tuple[int, int]], base: int, live: int,
@@ -343,25 +332,25 @@ def _partitioned(sweep: Callable[..., SweepSummary], arg: object, total: int,
     return summary
 
 
-def exhaustive_sweep(n: int, workers: int | None = None) -> SweepSummary:
+def exhaustive_sweep(n: int) -> SweepSummary:
     """Check the bound on every labeled graph of order n, 2 <= n <= 8.
 
     Covers all 2^(n(n-1)/2) edge subsets; disconnected graphs and graphs of
-    diameter < 2 are skipped and counted.  The census keys share one source
-    of tight examples in mask order, so ``record`` keeps the first tight
-    masks, whichever key asks.  It runs in this process: ``workers`` is
-    checked as in ``random_sweep``, but one block per orbit (11 at n = 7)
-    costs less than starting a pool.
+    diameter < 2 are skipped and counted.  Each census key is one report and
+    one ``record`` call, and the keys share block 0's tight masks in mask
+    order as their examples, so ``record`` keeps the first tight masks: the
+    block holds all of them for n <= 6, and 4,622 and 942 at n = 7 and 8.
+    One block per orbit (11 at n = 7) costs less than starting a pool.
     """
     if not 2 <= n <= _EXHAUSTIVE_MAX_N:
         raise ValueError(f"exhaustive sweep supports 2 <= n <= {_EXHAUSTIVE_MAX_N}, got {n}")
-    resolve_workers(workers)
-    census, first = _census(n)
-    examples = _tight_graph6(n, first)
+    census, block0 = _census(n)
+    reports = {key: None if key[1] is None else bound_report(n, *key) for key in census}
+    tight = sum(lanes for lanes, key in block0 if reports[key] and reports[key].tight)
+    examples = _tight_graph6(n, tight)
     summary = SweepSummary()
-    for (m, d, w), count in census.items():
-        report = None if d is None else bound_report(n, m, d, w)
-        summary.record(report, examples.__next__, count)
+    for key, count in census.items():
+        summary.record(reports[key], examples.__next__, count)
     return summary
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from wienerbound import generators
 from wienerbound.bounds import BoundReport, bound_report
-from wienerbound.cli import _write_json, build_parser, main
+from wienerbound.cli import _RECORD_COLUMNS, _cell, _write_json, _write_rows, build_parser, main
 from wienerbound.generators import petersen, prism, random_connected_m
 from wienerbound.graph import Graph, parse_graph6, write_edge_list, write_graph6
 from wienerbound.verifier import SHARPNESS_FAMILIES
@@ -200,7 +200,20 @@ class TestCompute:
         assert record["graph6"] == f.read_text().strip() and record["m"] == 9000
 
 
-_SLICE = 1 << 16  # characters of a string value the JSON writer escapes at a time
+_SLICE = 1 << 16  # characters of a long string value or cell the writers write at a time
+
+
+def _null_write_peak(monkeypatch, write):
+    """The tracemalloc peak of ``write()`` with stdout on the null device."""
+    with open(os.devnull, "w", encoding="ascii") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
 
 
 class TestJsonWriter:
@@ -222,15 +235,22 @@ class TestJsonWriter:
         # neither the escaped record nor its encoded bytes are held whole
         line = write_graph6(random_connected_m(3000, 15_000, seed=3))
         record = {"graph6": line, "n": 3000, "m": 15_000, "tight": None}
-        with open(os.devnull, "w", encoding="ascii") as sink:
-            monkeypatch.setattr(sys, "stdout", sink)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                _write_json(record)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+        peak = _null_write_peak(monkeypatch, lambda: _write_json(record))
+        assert peak < 4 * _SLICE, (peak, len(line))
+
+    def test_long_table_cell_is_written_a_few_slices_at_a_time(self, monkeypatch):
+        # the table row of that line: cells on their own, the graph6 cell in
+        # slices, the same bytes as the row joined whole
+        line = write_graph6(random_connected_m(3000, 15_000, seed=3))
+        row = {"graph6": line, "n": 3000, "m": 15_000, "d": 5, "wiener": 12_345_678,
+               "bound": None, "gap": None, "tight": None}
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        _write_rows([row], False, _RECORD_COLUMNS)
+        cells = " ".join(f"{_cell(row[key]):{spec}}" for key, spec in _RECORD_COLUMNS)
+        assert out.getvalue().split("\n") == [
+            " ".join(f"{key:{spec}}" for key, spec in _RECORD_COLUMNS), cells, ""]
+        peak = _null_write_peak(monkeypatch, lambda: _write_rows([row], False, _RECORD_COLUMNS))
         assert peak < 4 * _SLICE, (peak, len(line))
 
 
@@ -304,8 +324,8 @@ class TestBound:
         assert exc.value.code == 2
 
 
-# sha256 of ``verify --exhaustive N --json --threads 1`` stdout, frozen from
-# the sweep that made one record call per class of every block
+# sha256 of ``verify --exhaustive N --json`` stdout at any ``--threads``,
+# frozen from the sweep that made one record call per class of every block
 EXHAUSTIVE_JSON_SHA256 = {
     2: "7d4ae22bd29af0cd7157128984776e78b4b322969d0ec9677040ce1f5e73775a",
     3: "371fb3ac0c409f8d559cdce503b0d11332dff8324fd365404162395417bad0e5",
@@ -319,9 +339,11 @@ EXHAUSTIVE_JSON_SHA256 = {
 class TestVerify:
     @pytest.mark.parametrize("n", sorted(EXHAUSTIVE_JSON_SHA256))
     def test_exhaustive_json(self, n, capsys):
-        code, out, _ = run_cli(["verify", "--exhaustive", str(n), "--json", "--threads", "1"], capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == EXHAUSTIVE_JSON_SHA256[n]
+        for threads in ("1", "3"):
+            code, out, _ = run_cli(
+                ["verify", "--exhaustive", str(n), "--json", "--threads", threads], capsys)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == EXHAUSTIVE_JSON_SHA256[n], threads
         summary = json.loads(out)
         assert summary["graphs_checked"] == 2 ** (n * (n - 1) // 2)
         assert summary["violations"] == 0

@@ -50,7 +50,6 @@ from wienerbound.verifier import (
     _orbit_table,
     _partitioned,
     _tight_graph6,
-    _tight_lanes,
     iter_random_corpus,
     resolve_workers,
 )
@@ -181,7 +180,7 @@ class TestExhaustiveSweep:
     @pytest.mark.parametrize("n", sorted(FROZEN_SWEEPS))
     def test_frozen_totals(self, n):
         # n = 8 takes a few seconds, so its totals and examples share one sweep
-        summary = exhaustive_sweep(n, workers=1)
+        summary = exhaustive_sweep(n)
         for key, expected in FROZEN_SWEEPS[n].items():
             assert getattr(summary, key) == expected, key
         assert summary.violations == 0
@@ -195,26 +194,17 @@ class TestExhaustiveSweep:
             exhaustive_sweep(9)
 
     def test_n2_has_no_applicable_graphs(self):
-        summary = exhaustive_sweep(2, workers=1)
+        summary = exhaustive_sweep(2)
         assert summary.graphs_checked == 2
         assert summary.applicable == 0
         assert summary.skipped_inapplicable == 1  # the single edge
 
-    def test_parallel_equals_sequential(self, fake_pool):
-        # the sweep runs in this process at any worker count
-        seq = exhaustive_sweep(7, workers=1)
-        par = exhaustive_sweep(7, workers=2)
-        assert seq.to_dict() == par.to_dict()
-        assert fake_pool == []
-
     def test_pool_capped_at_cpu_count(self, fake_pool, stub_kernel, monkeypatch):
-        # the random sweep is the one that starts a pool; the exhaustive sweep
-        # starts none, however many workers are asked for
+        # the random sweep is the one that starts a pool
         expected = random_sweep(2000, 50, 0, workers=1).to_dict()
         assert random_sweep(2000, 50, 0, workers=100_000).to_dict() == expected
         monkeypatch.setenv("WIENER_THREADS", "100000")
         assert random_sweep(2000, 50, 0).to_dict() == expected
-        assert exhaustive_sweep(5).to_dict() == exhaustive_sweep(5, workers=1).to_dict()
         assert fake_pool == [3, 3]
         assert [len(spans) for spans in fake_pool.spans] == [12, 12]
 
@@ -230,25 +220,27 @@ class TestExhaustiveSweep:
 
     # n = 8's digest is checked by test_frozen_totals, from its one sweep
     @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_frozen_tight_examples(self, n, fake_pool):
-        for workers in (1, 3):
-            examples = exhaustive_sweep(n, workers=workers).tight_examples
-            assert len(examples) == 100
-            assert _digest(examples) == FROZEN_TIGHT_EXAMPLES[n], workers
-        assert fake_pool == []
+    def test_frozen_tight_examples(self, n):
+        examples = exhaustive_sweep(n).tight_examples
+        assert len(examples) == 100
+        assert _digest(examples) == FROZEN_TIGHT_EXAMPLES[n]
 
-    def test_frozen_tight_examples_at_8(self, counted_blocks):
-        # block 0 holds more than 100 tight lanes, so the walk's first 100
-        # lines are the examples of the full 2**28-mask sweep, and it
+    @pytest.mark.parametrize("n, tight", [(7, 4622), (8, 942)])
+    def test_block_0_holds_the_examples(self, n, tight, counted_blocks):
+        # block 0 holds more tight lanes than the cap (the 2**(16 - n) masks
+        # that join vertex 0 to every other vertex have diameter 2), so the
+        # walk's first 100 lines are the examples of the full sweep, and it
         # evaluates no block for them
-        first = _tight_lanes(8, _block_classes(8, _pairs(8), 0, (1 << _BLOCK) - 1))
-        assert first.bit_count() == 942
-        examples = list(islice(_tight_graph6(8, first), 100))
+        lanes = sum(lanes for lanes, (m, d, w) in
+                    _block_classes(n, _pairs(n), 0, (1 << _BLOCK) - 1)
+                    if d is not None and bound_report(n, m, d, w).tight)
+        assert lanes.bit_count() == tight >= TIGHT_EXAMPLE_CAP
+        examples = list(islice(_tight_graph6(n, lanes), TIGHT_EXAMPLE_CAP))
         assert counted_blocks == []
-        assert _digest(examples) == FROZEN_TIGHT_EXAMPLES[8]
+        assert _digest(examples) == FROZEN_TIGHT_EXAMPLES[n]
 
     def test_tight_example_cap(self):
-        summary = exhaustive_sweep(5, workers=1)
+        summary = exhaustive_sweep(5)
         assert len(summary.tight_examples) == TIGHT_EXAMPLE_CAP == 100
         assert summary.tight_count == FROZEN_SWEEPS[5]["tight_count"]
 
@@ -259,7 +251,7 @@ class TestExhaustiveSweep:
 
         real = verifier.bound_report
         monkeypatch.setattr(verifier, "bound_report", lambda n, m, d, w: real(n, m, d, w - 1))
-        summary = exhaustive_sweep(5, workers=1)
+        summary = exhaustive_sweep(5)
         assert summary.violations == FROZEN_SWEEPS[5]["tight_count"] == 607
         assert summary.tight_count == 120
         assert (summary.min_gap, summary.max_gap) == (-1, 0)
@@ -295,43 +287,16 @@ class TestExhaustiveSweep:
                 engine[mask] = (report.m, report.d, report.wiener)
         assert kernel == engine
 
-    def test_workers_agree_at_6(self, fake_pool):
-        # the 3-worker run sweeps in this process
-        expected = exhaustive_sweep(6, workers=1).to_dict()
-        assert exhaustive_sweep(6, workers=3).to_dict() == expected
-        assert fake_pool == []
-
     @pytest.mark.parametrize("n, calls", [(6, 1), (7, 11)])
     def test_each_orbit_evaluated_once(self, n, calls, fake_pool, counted_blocks):
-        # the examples are full after block 0, so no reused block is evaluated
-        # for its lines
-        for workers in (1, 3, 100_000):
-            counted_blocks.clear()
-            summary = exhaustive_sweep(n, workers=workers)
-            for key, expected in FROZEN_SWEEPS[n].items():
-                assert getattr(summary, key) == expected, key
-            assert len(counted_blocks) == calls
-            assert counted_blocks == [h * _BLOCK for h in sorted(set(_orbit_table(n)))]
+        # the examples come from block 0, evaluated last, and no block is
+        # evaluated again for its lines
+        summary = exhaustive_sweep(n)
+        for key, expected in FROZEN_SWEEPS[n].items():
+            assert getattr(summary, key) == expected, key
+        assert len(counted_blocks) == calls
+        assert counted_blocks == [h * _BLOCK for h in sorted(set(_orbit_table(n)), reverse=True)]
         assert fake_pool == []
-
-    def test_reused_block_gives_examples(self, counted_blocks, monkeypatch):
-        # blocks 1 and 2 share an orbit, so the census evaluates block 1 only;
-        # with room for every tight graph of blocks 0-2, the walk evaluates
-        # blocks 1 and 2 for their lines, and those kept from block 2 are the
-        # stream path's over its masks
-        from wienerbound import verifier
-
-        assert _orbit_table(7)[1] == _orbit_table(7)[2] == 1
-        tight = [_tight_lanes(7, _block_classes(7, _pairs(7), h * _BLOCK, (1 << _BLOCK) - 1))
-                 .bit_count() for h in range(3)]
-        monkeypatch.setattr(verifier, "TIGHT_EXAMPLE_CAP", sum(tight))
-        summary = exhaustive_sweep(7, workers=1)
-        orbits = [h * _BLOCK for h in sorted(set(_orbit_table(7)))]
-        assert counted_blocks == orbits + [_BLOCK, 2 * _BLOCK]
-        assert len(summary.tight_examples) == sum(tight)
-        stream = _fold(_mask_graph(7, mask) for mask in range(2 * _BLOCK, 3 * _BLOCK))
-        assert stream.tight_count == tight[2] > 0  # the lines the reused block must give
-        assert summary.tight_examples[-tight[2]:] == stream.tight_examples
 
     @pytest.mark.parametrize("n, orbits", [(n, 1) for n in range(2, 7)] + [(7, 11), (8, 968)])
     def test_orbit_table(self, n, orbits):
@@ -364,12 +329,12 @@ class TestExhaustiveSweep:
     def test_block_memory_bounded(self):
         # the n = 7 sweep holds one block's planes at a time and peaks near
         # 0.9 MiB; one block of 2**17 masks peaks above 2 MiB
-        exhaustive_sweep(7, workers=1)  # builds the cached planes and orbit table
+        exhaustive_sweep(7)  # builds the cached planes and orbit table
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            exhaustive_sweep(7, workers=1)
+            exhaustive_sweep(7)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -392,6 +357,8 @@ class TestExhaustiveSweep:
         assert longest == {(n - 1, n - 1, comb(n + 1, 3)): factorial(n) // 2}
 
     def test_one_record_per_key(self, monkeypatch):
+        from wienerbound import verifier
+
         reports = []
         real = SweepSummary.record
 
@@ -399,8 +366,18 @@ class TestExhaustiveSweep:
             reports.append(report)
             real(self, report, graph6, count)
 
+        keys = []
+        real_report = verifier.bound_report
+
+        def counting_report(n, m, d, w):
+            keys.append((m, d, w))
+            return real_report(n, m, d, w)
+
         monkeypatch.setattr(SweepSummary, "record", counting)
-        summary = exhaustive_sweep(7, workers=1)
+        monkeypatch.setattr(verifier, "bound_report", counting_report)
+        summary = exhaustive_sweep(7)
+        # one report per connected key, shared by the record and the examples
+        assert len(keys) == len(set(keys)) == 92
         assert summary.graphs_checked == FROZEN_SWEEPS[7]["graphs_checked"]
         assert len(reports) == len(_census(7)[0]) == 108
         # the disconnected keys split by size: every m from 0 to C(6, 2)
@@ -417,12 +394,12 @@ class TestExhaustiveSweep:
             return write_graph6(g)
 
         monkeypatch.setattr(verifier, "write_graph6", counting_write)
-        summary = exhaustive_sweep(n, workers=1)
+        summary = exhaustive_sweep(n)
         assert summary.tight_count == FROZEN_SWEEPS[n]["tight_count"]
         assert len(calls) == TIGHT_EXAMPLE_CAP
 
     def test_examples_parse_and_are_tight(self):
-        summary = exhaustive_sweep(4, workers=1)
+        summary = exhaustive_sweep(4)
         assert len(summary.tight_examples) == 37
         for g6 in summary.tight_examples:
             assert evaluate(parse_graph6(g6)).tight
@@ -530,7 +507,7 @@ class TestStreamSweep:
         for mask in range(1 << 6):
             edges = [pairs[i] for i in range(6) if mask >> i & 1]
             lines.append(write_graph6(Graph(4, edges)))
-        assert stream_sweep(lines).to_dict() == exhaustive_sweep(4, workers=1).to_dict()
+        assert stream_sweep(lines).to_dict() == exhaustive_sweep(4).to_dict()
 
     def test_tight_classes_match_isomorph_free_enumeration(self):
         # the atlas gives one representative per isomorphism class on 4
@@ -546,7 +523,7 @@ class TestStreamSweep:
         assert summary.tight_count == 5
         assert summary.violations == 0
         atlas_tight = [to_nx(parse_graph6(g6)) for g6 in summary.tight_examples]
-        labeled = exhaustive_sweep(4, workers=1)
+        labeled = exhaustive_sweep(4)
         for g6 in labeled.tight_examples:
             g = to_nx(parse_graph6(g6))
             assert sum(nx.is_isomorphic(g, h) for h in atlas_tight) == 1
