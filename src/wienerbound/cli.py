@@ -12,8 +12,9 @@ import argparse
 import contextlib
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, fields
-from typing import Iterable, Iterator, TextIO
+from typing import IO
 
 from . import generators
 from .bounds import (
@@ -25,7 +26,7 @@ from .bounds import (
     wiener_lower_bound,
 )
 from .errors import DisconnectedGraphError
-from .graph import Graph, parse_edge_list, read_graph6, write_edge_list, write_graph6
+from .graph import Graph, graph6_slices, parse_edge_list, read_graph6, write_edge_list, write_graph6
 from .verifier import (
     SHARPNESS_FAMILIES,
     SweepSummary,
@@ -43,7 +44,8 @@ _RECORD_COLUMNS = (
     ("graph6", "<16"), ("n", ">6"), ("m", ">8"), ("d", ">4"),
     ("wiener", ">12"), ("bound", ">12"), ("gap", ">8"), ("tight", ">5"),
 )
-# characters of a long string, a JSON value or a table cell, written at a time
+# characters of a long string, a JSON value or a table cell, written at a time;
+# a graph6 value comes as the encoder's slices, of the same width
 _JSON_SLICE = 1 << 16
 _SHARPNESS_COLUMNS = (
     ("label", "<14"), ("n", ">4"), ("m", ">5"), ("d", ">3"),
@@ -51,12 +53,17 @@ _SHARPNESS_COLUMNS = (
 )
 
 
-def _open_input(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
+def _open_input(path: str | None, text: bool = False) -> contextlib.AbstractContextManager[IO]:
+    """The file at ``path``, or stdin for None or ``-``: binary for graph6,
+    whose lines end at ``\n`` and are never decoded to text, and text for the
+    edge-list format."""
     if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdin)
-    # Undecodable bytes become lone surrogates, as on stdin, so parse_graph6
-    # rejects the line with its number instead of the read aborting.
-    return open(path, "r", encoding="ascii", errors="surrogateescape")
+        return contextlib.nullcontext(sys.stdin if text else sys.stdin.buffer)
+    if text:
+        # Undecodable bytes become lone surrogates, so the line that holds one
+        # is rejected with its number instead of the read aborting.
+        return open(path, "r", encoding="ascii", errors="surrogateescape")
+    return open(path, "rb")
 
 
 def _graph_record(g: Graph, allow_disconnected: bool) -> dict:
@@ -67,7 +74,7 @@ def _graph_record(g: Graph, allow_disconnected: bool) -> dict:
         report = evaluate(g) if g.n else None  # the distance pass needs a vertex
     except DisconnectedGraphError:
         report = None
-    record.update(graph6=write_graph6(g), n=g.n, m=g.m, applicable=False)
+    record.update(graph6=graph6_slices(g), n=g.n, m=g.m, applicable=False)
     if report is None:
         if not allow_disconnected:
             raise DisconnectedGraphError(
@@ -88,18 +95,29 @@ def _cell(value: object) -> str:
     return str(value)
 
 
+def _slices(value: str | Iterator[str]) -> Iterator[str]:
+    """A string value in slices: a ``str`` cut every ``_JSON_SLICE``
+    characters, or an iterator of slices, such as a graph6 encoder, as is.
+    Only the last slice may be short."""
+    if isinstance(value, str):
+        return (value[lo:lo + _JSON_SLICE] for lo in range(0, len(value), _JSON_SLICE))
+    return value
+
+
 def _write_json(obj: dict[str, object]) -> None:
-    """Print ``json.dumps(obj)`` and a newline.  A string value goes out in
-    slices, each escaped on its own: a graph6 field can be megabytes, and
-    neither its escaped form nor its encoded bytes are ever held whole."""
+    """Print ``json.dumps(obj)`` and a newline, where a value that is an
+    iterator of string slices stands for their concatenation.  A string value
+    goes out a slice at a time, each escaped on its own: a graph6 field can be
+    megabytes, and neither it, its escaped form nor its encoded bytes are ever
+    held whole."""
     write = sys.stdout.write
     write("{")
     for i, (key, value) in enumerate(obj.items()):
         write(f"{', ' if i else ''}{json.dumps(key)}: ")
-        if isinstance(value, str):
+        if isinstance(value, (str, Iterator)):
             write('"')
-            for lo in range(0, len(value), _JSON_SLICE):
-                write(json.dumps(value[lo:lo + _JSON_SLICE])[1:-1])
+            for part in _slices(value):
+                write(json.dumps(part)[1:-1])
             write('"')
         else:
             write(json.dumps(value))
@@ -110,8 +128,9 @@ def _write_rows(
     rows: Iterable[dict], as_json: bool, columns: tuple[tuple[str, str], ...]
 ) -> None:
     """One JSON object per row, or a table whose header comes with the first
-    row.  A table cell longer than a slice, so wider than any column, is
-    written in slices: a megabyte graph6 cell is never copied."""
+    row.  A table cell goes out a slice at a time, and only its first slice is
+    padded to the column: a slice shorter than any column is the whole cell,
+    and a megabyte graph6 cell is never held whole."""
     header = False
     for row in rows:
         if as_json:
@@ -121,18 +140,17 @@ def _write_rows(
             sys.stdout.write(" ".join(f"{key:{spec}}" for key, spec in columns) + "\n")
             header = True
         for i, (key, spec) in enumerate(columns):
-            cell = _cell(row[key])
+            value = row[key]
+            parts = _slices(value if isinstance(value, Iterator) else _cell(value))
             sys.stdout.write(" " if i else "")
-            if len(cell) > _JSON_SLICE:
-                for lo in range(0, len(cell), _JSON_SLICE):
-                    sys.stdout.write(cell[lo:lo + _JSON_SLICE])
-            else:
-                sys.stdout.write(f"{cell:{spec}}")
+            sys.stdout.write(f"{next(parts, ''):{spec}}")
+            for part in parts:
+                sys.stdout.write(part)
         sys.stdout.write("\n")
 
 
 def _iter_compute_graphs(args: argparse.Namespace) -> Iterator[Graph]:
-    with _open_input(args.input) as stream_in:
+    with _open_input(args.input, text=args.format != "g6") as stream_in:
         if args.format == "g6":
             yield from read_graph6(stream_in)
         else:

@@ -114,13 +114,14 @@ def is_connected(g: Graph) -> bool:
 
 
 # Python-level work is O(m): only C-level bytes scans see all n(n-1)/2 bits.
-# Both directions work in slices of _G6_CHUNK data bytes, so a megabyte line is
-# held whole only as decoding's one ASCII copy and as encoding's result.
-# Decoding checks each slice's alphabet with one translate, then finds every
-# byte other than '?' (group 0) with find(1) over the slice translated to 0/1,
-# and expands it through _G6_SET_BITS, the offsets of the set bits of each
-# 6-bit group, most significant first.  Encoding adds each bit to a slice of
-# '?' bytes.
+# Both directions work in slices of _G6_CHUNK bytes, so a megabyte line is
+# never held twice.  A bytes line is decoded in place, with no copy; a str
+# line is encoded to one ASCII copy.  Decoding checks each slice's alphabet
+# with one translate, then finds every byte other than '?' (group 0) with
+# find(1) over the slice translated to 0/1, expands it through _G6_SET_BITS,
+# the offsets of the set bits of each 6-bit group, most significant first, and
+# yields its pairs straight into Graph.  Encoding adds each bit to a slice of
+# '?' bytes and yields the slice once it is complete.
 _G6_CHUNK = 1 << 16
 _G6_ALPHABET = bytes(range(63, 127))
 _G6_NONZERO = bytes.maketrans(_G6_ALPHABET, b"\0" + b"\1" * 63)
@@ -155,28 +156,41 @@ def _parse_order(raw: bytes) -> tuple[int, int]:
     return b0 - 63, 1
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a Graph.
-
-    Accepts the optional ``>>graph6<<`` file prefix.  Rejects malformed
-    headers, bytes outside 63..126, wrong data length, and nonzero padding
-    bits.
-    """
-    # One ASCII copy of the line, read through offsets: a line can be megabytes.
-    try:
-        raw = text.encode("ascii")
-    except UnicodeEncodeError:  # unless only whitespace outside ASCII surrounds it
-        try:
-            raw = text.strip().encode("ascii")
-        except UnicodeEncodeError as exc:
-            raise Graph6ParseError("graph6 input is not ASCII") from exc
-    start, end = 0, len(raw)  # strip in slices
+def _strip_bounds(raw: bytes) -> tuple[int, int]:
+    """Offsets of ``raw`` without its leading and trailing whitespace, found
+    a slice at a time."""
+    start, end = 0, len(raw)
     while start < end and raw[start] in _G6_SPACE:
         chunk = raw[start:start + _G6_CHUNK]
         start += len(chunk) - len(chunk.lstrip(_G6_SPACE))
     while end > start and raw[end - 1] in _G6_SPACE:
         chunk = raw[max(start, end - _G6_CHUNK):end]
         end -= len(chunk) - len(chunk.rstrip(_G6_SPACE))
+    return start, end
+
+
+def parse_graph6(line: str | bytes) -> Graph:
+    """Decode one graph6 line, ``bytes`` or ``str``, into a Graph.
+
+    Accepts the optional ``>>graph6<<`` file prefix and surrounding ASCII
+    whitespace (around a ``str`` line, any whitespace).  Rejects non-ASCII
+    input, malformed headers, bytes outside 63..126, wrong data length, and
+    nonzero padding bits.
+    """
+    # One ASCII copy of the line, read through offsets: a line can be megabytes.
+    if isinstance(line, bytes):  # already that copy
+        if not line.isascii():
+            raise Graph6ParseError("graph6 input is not ASCII")
+        raw = line
+    else:
+        try:
+            raw = line.encode("ascii")
+        except UnicodeEncodeError:  # unless only whitespace outside ASCII surrounds it
+            try:
+                raw = line.strip().encode("ascii")
+            except UnicodeEncodeError as exc:
+                raise Graph6ParseError("graph6 input is not ASCII") from exc
+    start, end = _strip_bounds(raw)
     if raw.startswith(_G6_PREFIX, start, end):
         start += len(_G6_PREFIX)
     n, offset = _parse_order(raw[start:min(start + 4, end)])
@@ -187,21 +201,24 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6ParseError(
             f"expected {nbytes} data bytes for n={n}, got {end - offset}"
         )
-    chunks = range(offset, end, _G6_CHUNK)
-    for lo in chunks:
+    for lo in range(offset, end, _G6_CHUNK):
         bad = raw[lo:min(lo + _G6_CHUNK, end)].translate(None, _G6_ALPHABET)
         if bad:
             raise Graph6ParseError(f"data byte {bad[0]} outside 63..126")
     padding = 6 * nbytes - nbits
     if padding and (raw[end - 1] - 63) & ((1 << padding) - 1):
         raise Graph6ParseError("nonzero padding bits")
+    return Graph(n, _graph6_pairs(raw, offset, end, n))
+
+
+def _graph6_pairs(raw: bytes, offset: int, end: int, n: int) -> Iterator[Edge]:
+    """The pairs of the checked data bytes ``raw[offset:end]`` of order n."""
     # Bits come in column order, (0,1),(0,2),(1,2),(0,3),...: bit i is pair
     # (i - base, v) while base <= i < base + v, with base = v(v-1)/2.
     vertex = list(range(n))  # one int object per vertex, shared by every pair
-    pairs = []
     v = 1
     base = 0
-    for lo in chunks:
+    for lo in range(offset, end, _G6_CHUNK):
         nonzero = raw[lo:min(lo + _G6_CHUNK, end)].translate(_G6_NONZERO)
         j = nonzero.find(1)
         while j >= 0:
@@ -211,13 +228,23 @@ def parse_graph6(text: str) -> Graph:
                 while i >= base + v:
                     base += v
                     v += 1
-                pairs.append((vertex[i - base], vertex[v]))
+                yield vertex[i - base], vertex[v]
             j = nonzero.find(1, j + 1)
-    return Graph(n, pairs)
 
 
-def read_graph6(lines: Iterable[str], skip_bad: bool = False) -> Iterator[Graph | None]:
-    """Decode graph6 lines in order, skipping blank ones.
+def _blank(line: str | bytes) -> bool:
+    """True for a line of nothing but whitespace that str.strip() removes,
+    found without copying the line (not line.strip())."""
+    if isinstance(line, str):
+        return not line or line.isspace()
+    start, end = _strip_bounds(line)  # bytes.isspace() misses \x1c-\x1f
+    return start == end
+
+
+def read_graph6(
+    lines: Iterable[str | bytes], skip_bad: bool = False
+) -> Iterator[Graph | None]:
+    """Decode graph6 lines, ``bytes`` or ``str``, in order, skipping blank ones.
 
     A malformed line raises Graph6ParseError prefixed with its line number
     (blank lines count), or yields None when ``skip_bad`` is set.
@@ -227,7 +254,7 @@ def read_graph6(lines: Iterable[str], skip_bad: bool = False) -> Iterator[Graph 
     lineno = 0
     for line in lines:
         lineno += 1
-        if not line or line.isspace():  # not line.strip(): that copies the line
+        if _blank(line):
             continue
         try:
             g = parse_graph6(line)
@@ -239,22 +266,32 @@ def read_graph6(lines: Iterable[str], skip_bad: bool = False) -> Iterator[Graph 
         yield g
 
 
-def write_graph6(g: Graph) -> str:
-    """Encode a Graph as a canonical one-line graph6 string."""
+def graph6_slices(g: Graph) -> Iterator[str]:
+    """The canonical graph6 line of a Graph, in slices of ``_G6_CHUNK``
+    characters (the last may be shorter): a megabyte line is never held whole.
+
+    Raises ValueError at once, before any slice, when ``n`` exceeds 258047.
+    """
     n = g.n
     if n > _G6_EXT_MAX:
         raise ValueError(f"graph6 encoding supports n <= {_G6_EXT_MAX}, got {n}")
     if n <= _G6_SMALL_MAX:
-        out = chr(63 + n)
+        header = _G6_ALPHABET[n:n + 1]
     else:
-        out = "~" + chr(63 + (n >> 12)) + chr(63 + ((n >> 6) & 0x3F)) + chr(63 + (n & 0x3F))
-    nbytes = (n * (n - 1) // 2 + 5) // 6
-    # Slices of at most _G6_CHUNK bytes, each appended once it is complete.
-    # The string has no other reference, so CPython grows it in place and
-    # the line is never held twice.
-    lo = 0  # first data byte of the slice
-    groups = bytearray(b"?") * min(_G6_CHUNK, nbytes)
-    for v, a in enumerate(g.adj):  # column order: bit positions ascend
+        header = bytes((126, 63 + (n >> 12), 63 + ((n >> 6) & 0x3F), 63 + (n & 0x3F)))
+    return _graph6_slices(g.adj, header, (n * (n - 1) // 2 + 5) // 6)
+
+
+def _graph6_slices(
+    adj: tuple[tuple[int, ...], ...], header: bytes, nbytes: int
+) -> Iterator[str]:
+    # Slice s holds the line's characters s*_G6_CHUNK.. on, the header first,
+    # so only the last slice can be short.  A slice's bytes are dropped before
+    # it is yielded, so the caller's work on it sees one copy.
+    lo = -len(header)  # data byte at the slice's first character
+    groups = bytearray(b"?") * min(_G6_CHUNK, nbytes - lo)
+    groups[:-lo] = header
+    for v, a in enumerate(adj):  # column order: bit positions ascend
         base = v * (v - 1) // 2
         for u in a:
             if u >= v:
@@ -262,15 +299,25 @@ def write_graph6(g: Graph) -> str:
             i = base + u
             k = i // 6 - lo
             while k >= _G6_CHUNK:
-                out += groups.decode("ascii")
+                text, groups = groups.decode("ascii"), None
+                yield text
                 lo += _G6_CHUNK
                 k -= _G6_CHUNK
                 groups = bytearray(b"?") * min(_G6_CHUNK, nbytes - lo)
             groups[k] += 1 << (5 - i % 6)
-    while lo < nbytes:
-        out += groups.decode("ascii")
-        lo += _G6_CHUNK
-        groups = bytearray(b"?") * min(_G6_CHUNK, nbytes - lo)
+    text, groups = groups.decode("ascii"), None
+    yield text
+    for lo in range(lo + _G6_CHUNK, nbytes, _G6_CHUNK):  # past the last edge
+        yield "?" * min(_G6_CHUNK, nbytes - lo)
+
+
+def write_graph6(g: Graph) -> str:
+    """Encode a Graph as a canonical one-line graph6 string."""
+    # Each slice is appended once it is complete.  The string has no other
+    # reference, so CPython grows it in place and the line is never held twice.
+    out = ""
+    for chunk in graph6_slices(g):
+        out += chunk
     return out
 
 

@@ -371,8 +371,9 @@ def _fold(graphs: Iterable[Graph | None]) -> SweepSummary:
     return summary
 
 
-def stream_sweep(lines: Iterable[str], skip_bad: bool = False) -> SweepSummary:
-    """Aggregate the bound check over a stream of graph6 lines.
+def stream_sweep(lines: Iterable[str | bytes], skip_bad: bool = False) -> SweepSummary:
+    """Aggregate the bound check over a stream of graph6 lines, ``bytes`` or
+    ``str``.
 
     Blank lines are ignored.  A malformed line aborts with its line number
     unless ``skip_bad`` is set, in which case it is counted and skipped.

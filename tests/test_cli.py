@@ -5,14 +5,22 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 
-from wienerbound import generators
+from wienerbound import cli, generators
 from wienerbound.bounds import BoundReport, bound_report
-from wienerbound.cli import _RECORD_COLUMNS, _cell, _write_json, _write_rows, build_parser, main
+from wienerbound.cli import (
+    _RECORD_COLUMNS,
+    _cell,
+    _graph_record,
+    _write_json,
+    _write_rows,
+    build_parser,
+    main,
+)
 from wienerbound.generators import petersen, prism, random_connected_m
 from wienerbound.graph import Graph, parse_graph6, write_edge_list, write_graph6
 from wienerbound.verifier import SHARPNESS_FAMILIES
@@ -26,9 +34,26 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def _stdin(monkeypatch, text):
+    """Put ``text`` on stdin, which the graph6 commands read as bytes."""
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode("ascii"))))
+
+
+def _file_and_stdin(argv, data, tmp_path):
+    """Run ``python -m wienerbound *argv`` with ``data`` in a file named as the
+    last argument, then on stdin named ``-``; return both completed processes."""
+    f = tmp_path / "input"
+    f.write_bytes(data)
+    cmd = [sys.executable, "-m", "wienerbound", *argv]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    from_file = subprocess.run([*cmd, str(f)], capture_output=True, env=env)
+    from_stdin = subprocess.run([*cmd, "-"], input=data, capture_output=True, env=env)
+    return from_file, from_stdin
+
+
 class TestCompute:
     def test_k2_json_record(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("A_\n"))
+        _stdin(monkeypatch, "A_\n")
         code, out, _ = run_cli(["compute", "--json"], capsys)
         assert code == 0
         record = json.loads(out)
@@ -38,13 +63,13 @@ class TestCompute:
         }
 
     def test_json_field_order_stable(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("A_\n"))
+        _stdin(monkeypatch, "A_\n")
         _, out, _ = run_cli(["compute", "--json"], capsys)
         assert out.startswith('{"graph6": "A_", "n": 2, "m": 1, "d": 1, "wiener": 1,')
 
     def test_json_keys_are_report_fields(self, capsys, monkeypatch):
         # the record is the graph6 line followed by the BoundReport, in field order
-        monkeypatch.setattr(sys, "stdin", io.StringIO("I?LRCecq?\n"))
+        _stdin(monkeypatch, "I?LRCecq?\n")
         _, out, _ = run_cli(["compute", "--json"], capsys)
         keys = tuple(json.loads(out))
         assert keys == ("graph6", *(f.name for f in fields(BoundReport)))
@@ -73,13 +98,13 @@ class TestCompute:
         assert "line 2" in err
 
     def test_disconnected_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("A?\n"))
+        _stdin(monkeypatch, "A?\n")
         code, _, err = run_cli(["compute"], capsys)
         assert code == 2
         assert "disconnected" in err
 
     def test_allow_disconnected_nulls(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("A?\n"))
+        _stdin(monkeypatch, "A?\n")
         code, out, _ = run_cli(["compute", "--json", "--allow-disconnected"], capsys)
         assert code == 0
         record = json.loads(out)
@@ -132,11 +157,11 @@ class TestCompute:
         assert proc.stderr == "error: line 3: edge line must be 'u v'\n"
 
     def test_empty_graph(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("?\n"))
+        _stdin(monkeypatch, "?\n")
         code, _, err = run_cli(["compute"], capsys)
         assert code == 2
         assert "disconnected" in err
-        monkeypatch.setattr(sys, "stdin", io.StringIO("?\n"))
+        _stdin(monkeypatch, "?\n")
         code, out, _ = run_cli(["compute", "--json", "--allow-disconnected"], capsys)
         assert code == 0
         assert json.loads(out) == {
@@ -145,7 +170,7 @@ class TestCompute:
         }
 
     def test_single_vertex(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("@\n"))
+        _stdin(monkeypatch, "@\n")
         code, out, _ = run_cli(["compute", "--json"], capsys)
         assert code == 0
         record = json.loads(out)
@@ -153,7 +178,7 @@ class TestCompute:
         assert record["applicable"] is False and record["bound"] is None
 
     def test_human_table(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(write_graph6(prism()) + "\n"))
+        _stdin(monkeypatch, write_graph6(prism()) + "\n")
         code, out, _ = run_cli(["compute"], capsys)
         assert code == 0
         assert "wiener" in out.splitlines()[0]
@@ -161,7 +186,7 @@ class TestCompute:
 
     def test_human_table_golden(self, capsys, monkeypatch):
         # a tight graph, then one whose bound does not apply
-        monkeypatch.setattr(sys, "stdin", io.StringIO("I?LRCecq?\n@\n"))
+        _stdin(monkeypatch, "I?LRCecq?\n@\n")
         code, out, _ = run_cli(["compute"], capsys)
         assert code == 0
         assert out == (
@@ -187,17 +212,28 @@ class TestCompute:
 
     def test_long_line_file_and_stdin_agree(self, tmp_path):
         # a line of about 11 codec slices gives the same bytes either way
-        f = tmp_path / "long.g6"
-        f.write_text(write_graph6(random_connected_m(3000, 9000, seed=6)) + "\n")
-        argv = [sys.executable, "-m", "wienerbound", "compute", "--json"]
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        from_file = subprocess.run(argv + [str(f)], capture_output=True, env=env)
-        with open(f, "rb") as stdin:
-            from_stdin = subprocess.run(argv, stdin=stdin, capture_output=True, env=env)
+        line = write_graph6(random_connected_m(3000, 9000, seed=6))
+        from_file, from_stdin = _file_and_stdin(
+            ["compute", "--json"], line.encode() + b"\n", tmp_path)
         assert from_file.returncode == from_stdin.returncode == 0
         assert from_file.stdout == from_stdin.stdout
         record = json.loads(from_file.stdout)
-        assert record["graph6"] == f.read_text().strip() and record["m"] == 9000
+        assert record["graph6"] == line and record["m"] == 9000
+
+    @pytest.mark.parametrize("data, code, err", [
+        (b"A_\xc2\xa0\n", 2, "error: line 1: graph6 input is not ASCII\n"),
+        (b"A_\r\n", 0, ""),
+        (b"A_\n\xff\n", 2, "error: line 2: graph6 input is not ASCII\n"),
+        # a line ends only at \n: a lone \r is inside the line
+        (b"A_\rA_\n", 2, "error: line 1: expected 1 data bytes for n=2, got 4\n"),
+    ], ids=["nbsp", "crlf", "bad-byte-on-line-2", "lone-cr"])
+    def test_file_and_stdin_agree(self, data, code, err, tmp_path):
+        from_file, from_stdin = _file_and_stdin(["compute", "--json"], data, tmp_path)
+        for proc in (from_file, from_stdin):
+            assert (proc.returncode, proc.stderr.decode()) == (code, err)
+        assert from_file.stdout == from_stdin.stdout
+        if code == 0:
+            assert json.loads(from_file.stdout)["graph6"] == "A_"
 
 
 _SLICE = 1 << 16  # characters of a long string value or cell the writers write at a time
@@ -252,6 +288,28 @@ class TestJsonWriter:
             " ".join(f"{key:{spec}}" for key, spec in _RECORD_COLUMNS), cells, ""]
         peak = _null_write_peak(monkeypatch, lambda: _write_rows([row], False, _RECORD_COLUMNS))
         assert peak < 4 * _SLICE, (peak, len(line))
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "table"])
+    def test_record_is_built_and_written_a_few_slices_at_a_time(self, as_json, monkeypatch):
+        # compute's record carries the graph6 as the encoder's slices, so with
+        # the distance pass stubbed out neither the line nor its output is held
+        # whole, and the output is that of the line held whole
+        g = random_connected_m(3000, 15_000, seed=3)
+        report = bound_report(g.n, g.m, 5, 12_345_678)
+        monkeypatch.setattr(cli, "evaluate", lambda graph: report)
+        row = {"graph6": write_graph6(g), **asdict(report)}
+        out = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", out)
+        _write_rows([_graph_record(g, False)], as_json, _RECORD_COLUMNS)
+        if as_json:
+            assert out.getvalue() == json.dumps(row) + "\n"
+        else:
+            assert out.getvalue().split("\n")[1] == " ".join(
+                f"{_cell(row[key]):{spec}}" for key, spec in _RECORD_COLUMNS)
+        del row, out
+        peak = _null_write_peak(
+            monkeypatch, lambda: _write_rows([_graph_record(g, False)], as_json, _RECORD_COLUMNS))
+        assert peak < 4 * _SLICE, peak
 
 
 class TestBound:
@@ -380,6 +438,15 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["parse_errors"] == 1
+
+    def test_stream_file_and_stdin_agree(self, tmp_path):
+        # a no-break space is not whitespace of a graph6 line, from either source
+        from_file, from_stdin = _file_and_stdin(
+            ["verify", "--skip-bad", "--json", "--stream"], b"A_\n\xc2\xa0\nA_\r\n", tmp_path)
+        assert from_file.returncode == from_stdin.returncode == 0
+        assert from_file.stdout == from_stdin.stdout
+        summary = json.loads(from_file.stdout)
+        assert (summary["graphs_checked"], summary["parse_errors"]) == (2, 1)
 
     def test_stream_non_ascii_file_like_stdin(self, capsys, tmp_path):
         f = tmp_path / "latin1.g6"

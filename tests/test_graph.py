@@ -211,25 +211,38 @@ class TestReadGraph6:
         got = list(read_graph6(["A_", "", "%%%", "@"], skip_bad=True))
         assert got == [Graph(2, [(0, 1)]), None, Graph(1)]
 
+    def test_bytes_lines_read_as_str_lines(self):
+        # a binary file's lines: blank means str.strip() blank, \x1c-\x1f too
+        lines = ["A_\n", "\n", "   \n", "\x1c\x1f\r\n", "%%%\n", "@\n"]
+        for data in (lines, [line.encode("ascii") for line in lines]):
+            with pytest.raises(Graph6ParseError, match="^line 5: "):
+                list(read_graph6(data))
+            got = list(read_graph6(data, skip_bad=True))
+            assert got == [Graph(2, [(0, 1)]), None, Graph(1)]
+
     def test_yielded_graph_does_not_keep_its_line(self):
         # n = 8,000 with one edge: a 5.3 MB line for a graph of under 100 KiB
         expected = Graph(8000, [(0, 7999)])
         size = len(write_graph6(expected)) + 1
 
-        def lines():  # keeps no reference to the line it yields
-            yield write_graph6(expected) + "\n"
+        def lines(as_bytes):  # keeps no reference to the line it yields
+            if as_bytes:
+                yield (write_graph6(expected) + "\n").encode("ascii")
+            else:
+                yield write_graph6(expected) + "\n"
 
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            reader = read_graph6(lines())
-            g = next(reader)
-            held = tracemalloc.get_traced_memory()[0] - base
-            reader.close()
-        finally:
-            tracemalloc.stop()
-        assert g == expected
-        assert held < size, f"{held} bytes held for a {size}-byte line"
+        for as_bytes in (False, True):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                reader = read_graph6(lines(as_bytes))
+                g = next(reader)
+                held = tracemalloc.get_traced_memory()[0] - base
+                reader.close()
+            finally:
+                tracemalloc.stop()
+            assert g == expected
+            assert held < size, f"{held} bytes held for a {size}-byte line"
 
 
 _CHUNK = 1 << 16  # data bytes per slice of the codec
@@ -309,6 +322,14 @@ class TestGraph6Slices:
             parse_graph6(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("name", list(_FROZEN_ERRORS))
+    def test_frozen_error_messages_of_bytes(self, name):
+        # the line as a binary file holds it: the same check fails first
+        text, message = _FROZEN_ERRORS[name]
+        with pytest.raises(Graph6ParseError) as info:
+            parse_graph6(text.encode("utf-8", "surrogateescape"))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("text", [
         " \t>>graph6<<{}\r\n", "{}\x1c\x1f", "\x0b{}\x0c", "\u00a0{}\u2003", "\n" * 70_000 + "{}",
     ])
@@ -350,6 +371,21 @@ class TestGraph6Slices:
         graph = _traced_peak(build)
         parsed = _traced_peak(lambda: parse_graph6(line))
         assert parsed < graph + 1.25 * len(line), (parsed, graph, len(line))
+
+    def test_parse_bytes_holds_no_copy_of_the_line(self):
+        # a bytes line is decoded in place and its pairs go straight into the
+        # Graph: parsing peaks within a few slices of building the Graph from a
+        # ready pair list, where a str line adds its ASCII copy
+        g = random_connected_m(3000, 15_000, seed=3)
+        line = write_graph6(g) + "\n"
+        data = line.encode("ascii")
+        pairs = sorted(g.edges)
+        Graph(g.n, pairs)  # the first large build of a process peaks higher
+        graph = _traced_peak(lambda: Graph(g.n, pairs))
+        parsed = _traced_peak(lambda: parse_graph6(data))
+        assert parsed < graph + 4 * _CHUNK, (parsed, graph, len(line))
+        parsed = _traced_peak(lambda: parse_graph6(line))
+        assert parsed > graph + len(line), (parsed, graph, len(line))
 
     def test_write_holds_one_copy_of_the_line(self):
         g = random_connected_m(3000, 15_000, seed=3)
