@@ -53,16 +53,12 @@ _SHARPNESS_COLUMNS = (
 )
 
 
-def _open_input(path: str | None, text: bool = False) -> contextlib.AbstractContextManager[IO]:
-    """The file at ``path``, or stdin for None or ``-``: binary for graph6,
-    whose lines end at ``\n`` and are never decoded to text, and text for the
-    edge-list format."""
+def _open_input(path: str | None) -> contextlib.AbstractContextManager[IO[bytes]]:
+    """The file at ``path``, or stdin for None or ``-``, in binary: every
+    command reads bytes, so input reads alike from either, whatever the
+    locale."""
     if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdin if text else sys.stdin.buffer)
-    if text:
-        # Undecodable bytes become lone surrogates, so the line that holds one
-        # is rejected with its number instead of the read aborting.
-        return open(path, "r", encoding="ascii", errors="surrogateescape")
+        return contextlib.nullcontext(sys.stdin.buffer)
     return open(path, "rb")
 
 
@@ -150,11 +146,13 @@ def _write_rows(
 
 
 def _iter_compute_graphs(args: argparse.Namespace) -> Iterator[Graph]:
-    with _open_input(args.input, text=args.format != "g6") as stream_in:
+    with _open_input(args.input) as stream_in:
         if args.format == "g6":
             yield from read_graph6(stream_in)
         else:
-            yield parse_edge_list(stream_in.read())
+            # an edge list is ASCII: each other byte becomes a lone surrogate,
+            # which fails the line that holds it, with its number
+            yield parse_edge_list(stream_in.read().decode("ascii", "surrogateescape"))
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:

@@ -9,6 +9,7 @@ operation elsewhere in the package refuses them.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from typing import Iterable, Iterator, Tuple
 
@@ -116,11 +117,11 @@ def is_connected(g: Graph) -> bool:
 # Python-level work is O(m): only C-level bytes scans see all n(n-1)/2 bits.
 # Both directions work in slices of _G6_CHUNK bytes, so a megabyte line is
 # never held twice.  A bytes line is decoded in place, with no copy; a str
-# line is encoded to one ASCII copy.  Decoding checks each slice's alphabet
-# with one translate, then finds every byte other than '?' (group 0) with
-# find(1) over the slice translated to 0/1, expands it through _G6_SET_BITS,
-# the offsets of the set bits of each 6-bit group, most significant first, and
-# yields its pairs straight into Graph.  Encoding adds each bit to a slice of
+# line is encoded to its bytes once, at the public entry.  Decoding checks
+# each slice's alphabet with one translate, then finds every byte other than
+# '?' (group 0) with find(1) over the slice translated to 0/1, expands it
+# through _G6_SET_BITS, the offsets of the set bits of each 6-bit group, most
+# significant first, and yields its pairs straight into Graph.  Encoding adds each bit to a slice of
 # '?' bytes and yields the slice once it is complete.
 _G6_CHUNK = 1 << 16
 _G6_ALPHABET = bytes(range(63, 127))
@@ -170,26 +171,18 @@ def _strip_bounds(raw: bytes) -> tuple[int, int]:
 
 
 def parse_graph6(line: str | bytes) -> Graph:
-    """Decode one graph6 line, ``bytes`` or ``str``, into a Graph.
+    """Decode one graph6 line into a Graph.  A ``str`` line is read as its
+    bytes, ``line.encode("utf-8", "surrogatepass")``, and gives the graph or
+    the error that those bytes give.
 
     Accepts the optional ``>>graph6<<`` file prefix and surrounding ASCII
-    whitespace (around a ``str`` line, any whitespace).  Rejects non-ASCII
-    input, malformed headers, bytes outside 63..126, wrong data length, and
-    nonzero padding bits.
+    whitespace.  Rejects non-ASCII input, malformed headers, bytes outside
+    63..126, wrong data length, and nonzero padding bits.
     """
-    # One ASCII copy of the line, read through offsets: a line can be megabytes.
-    if isinstance(line, bytes):  # already that copy
-        if not line.isascii():
-            raise Graph6ParseError("graph6 input is not ASCII")
-        raw = line
-    else:
-        try:
-            raw = line.encode("ascii")
-        except UnicodeEncodeError:  # unless only whitespace outside ASCII surrounds it
-            try:
-                raw = line.strip().encode("ascii")
-            except UnicodeEncodeError as exc:
-                raise Graph6ParseError("graph6 input is not ASCII") from exc
+    # A bytes line is read through offsets, with no copy: it can be megabytes.
+    raw = line.encode("utf-8", "surrogatepass") if isinstance(line, str) else line
+    if not raw.isascii():
+        raise Graph6ParseError("graph6 input is not ASCII")
     start, end = _strip_bounds(raw)
     if raw.startswith(_G6_PREFIX, start, end):
         start += len(_G6_PREFIX)
@@ -232,19 +225,12 @@ def _graph6_pairs(raw: bytes, offset: int, end: int, n: int) -> Iterator[Edge]:
             j = nonzero.find(1, j + 1)
 
 
-def _blank(line: str | bytes) -> bool:
-    """True for a line of nothing but whitespace that str.strip() removes,
-    found without copying the line (not line.strip())."""
-    if isinstance(line, str):
-        return not line or line.isspace()
-    start, end = _strip_bounds(line)  # bytes.isspace() misses \x1c-\x1f
-    return start == end
-
-
 def read_graph6(
     lines: Iterable[str | bytes], skip_bad: bool = False
 ) -> Iterator[Graph | None]:
-    """Decode graph6 lines, ``bytes`` or ``str``, in order, skipping blank ones.
+    """Decode graph6 lines in order, skipping blank ones: lines of nothing but
+    ASCII whitespace.  A ``str`` line is read as its bytes, as in
+    ``parse_graph6``, so a line of non-ASCII whitespace is an error, not blank.
 
     A malformed line raises Graph6ParseError prefixed with its line number
     (blank lines count), or yields None when ``skip_bad`` is set.
@@ -254,7 +240,10 @@ def read_graph6(
     lineno = 0
     for line in lines:
         lineno += 1
-        if _blank(line):
+        if isinstance(line, str):
+            line = line.encode("utf-8", "surrogatepass")
+        start, end = _strip_bounds(line)
+        if start == end:
             continue
         try:
             g = parse_graph6(line)
@@ -324,9 +313,13 @@ def write_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 # edge-list text format: first line "n m", then m lines "u v"
 
+# an integer of the format: ASCII decimal digits after an optional minus sign
+_DECIMAL = re.compile(r"-?[0-9]+")
+
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the plain edge-list format: header ``n m`` then m ``u v`` lines."""
+    """Parse the plain edge-list format: header ``n m`` then m ``u v`` lines,
+    every number ASCII decimal digits after an optional ``-``."""
     lines = text.splitlines()
     rows: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -338,10 +331,9 @@ def parse_edge_list(text: str) -> Graph:
     lineno, header = rows[0]
     if len(header) != 2:
         raise ValueError(f"line {lineno}: header must be 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: header must be two integers") from exc
+    if not all(map(_DECIMAL.fullmatch, header)):
+        raise ValueError(f"line {lineno}: header must be two integers")
+    n, m = map(int, header)
     if n < 0:
         raise ValueError(f"line {lineno}: vertex count must be nonnegative, got {n}")
     if m < 0:
@@ -353,10 +345,9 @@ def parse_edge_list(text: str) -> Graph:
     for lineno, parts in rows[1:]:
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: edge line must be 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: edge line must be two integers") from exc
+        if not all(map(_DECIMAL.fullmatch, parts)):
+            raise ValueError(f"line {lineno}: edge line must be two integers")
+        u, v = map(int, parts)
         if u == v:
             raise ValueError(f"line {lineno}: self-loop at vertex {u}")
         if not (0 <= u < n) or not (0 <= v < n):

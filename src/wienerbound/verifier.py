@@ -2,8 +2,9 @@
 graphs, graph6 stream sweeps, seeded random sweeps, sharpness scans, and the
 triangle-inequality property behind the off-path excess term.
 
-Sweeps aggregate into a commutative-monoid summary, so partitioned parallel
-runs and single-threaded runs produce identical results.
+Sweeps aggregate into a summary whose merge is associative and
+order-respecting (the first partition's tight examples come first), so
+partitions merged in order give the single-threaded result exactly.
 
 The exhaustive kernel is bit-sliced.  Bit i of a mask is the i-th vertex
 pair, and the kernel evaluates an aligned block of 2**15 consecutive masks at
@@ -372,8 +373,8 @@ def _fold(graphs: Iterable[Graph | None]) -> SweepSummary:
 
 
 def stream_sweep(lines: Iterable[str | bytes], skip_bad: bool = False) -> SweepSummary:
-    """Aggregate the bound check over a stream of graph6 lines, ``bytes`` or
-    ``str``.
+    """Aggregate the bound check over a stream of graph6 lines, as a binary
+    file yields them; a ``str`` line is read as its bytes (see ``read_graph6``).
 
     Blank lines are ignored.  A malformed line aborts with its line number
     unless ``skip_bad`` is set, in which case it is counted and skipped.

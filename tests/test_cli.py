@@ -235,6 +235,27 @@ class TestCompute:
         if code == 0:
             assert json.loads(from_file.stdout)["graph6"] == "A_"
 
+    @pytest.mark.parametrize("data, code, err", [
+        (b"2 1\n0\xc2\xa01\n", 2, "error: line 2: edge line must be 'u v'\n"),
+        ("2 1\n0 \u0661\n".encode(), 2, "error: line 2: edge line must be two integers\n"),
+        (b"2 1\n0 \xe91\n", 2, "error: line 2: edge line must be two integers\n"),
+        (b"2 1\r\n0 1\r\n", 0, ""),
+        (b"2 1\r0 1\r", 0, ""),
+    ], ids=["nbsp", "arabic-indic-digit", "bad-byte", "crlf", "lone-cr"])
+    def test_edgelist_file_and_stdin_agree(self, data, code, err, tmp_path):
+        # an edge list is ASCII from a file and from stdin, whatever the locale
+        argv = ["compute", "--format", "edgelist", "--json"]
+        from_file, from_stdin = _file_and_stdin(argv, data, tmp_path)
+        latin1 = subprocess.run(
+            [sys.executable, "-m", "wienerbound", *argv, "-"], input=data, capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "latin-1"},
+        )
+        for proc in (from_file, from_stdin, latin1):
+            assert (proc.returncode, proc.stderr.decode()) == (code, err)
+            assert proc.stdout == from_file.stdout
+        if code == 0:
+            assert json.loads(from_file.stdout)["graph6"] == "A_"
+
 
 _SLICE = 1 << 16  # characters of a long string value or cell the writers write at a time
 

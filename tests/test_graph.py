@@ -212,13 +212,14 @@ class TestReadGraph6:
         assert got == [Graph(2, [(0, 1)]), None, Graph(1)]
 
     def test_bytes_lines_read_as_str_lines(self):
-        # a binary file's lines: blank means str.strip() blank, \x1c-\x1f too
-        lines = ["A_\n", "\n", "   \n", "\x1c\x1f\r\n", "%%%\n", "@\n"]
-        for data in (lines, [line.encode("ascii") for line in lines]):
-            with pytest.raises(Graph6ParseError, match="^line 5: "):
+        # a binary file's lines: blank means ASCII whitespace only, \x1c-\x1f
+        # too; a line of a no-break space is a line that is not ASCII
+        lines = ["A_\n", "\n", "   \n", "\x1c\x1f\r\n", "\u00a0\n", "%%%\n", "@\n"]
+        for data in (lines, [line.encode("utf-8") for line in lines]):
+            with pytest.raises(Graph6ParseError, match="^line 5: graph6 input is not ASCII$"):
                 list(read_graph6(data))
             got = list(read_graph6(data, skip_bad=True))
-            assert got == [Graph(2, [(0, 1)]), None, Graph(1)]
+            assert got == [Graph(2, [(0, 1)]), None, None, Graph(1)]
 
     def test_yielded_graph_does_not_keep_its_line(self):
         # n = 8,000 with one edge: a 5.3 MB line for a graph of under 100 KiB
@@ -270,6 +271,34 @@ def _traced_peak(fn):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def _outcome(fn, arg):
+    """``fn(arg)``, or the message of the Graph6ParseError it raises."""
+    try:
+        return fn(arg)
+    except Graph6ParseError as exc:
+        return str(exc)
+
+
+_G6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
+# whitespace that str.strip() removes, ASCII and not, and lone surrogates
+_NOISE = st.one_of(
+    st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2003\u2028\u3000"),
+    st.integers(0xD800, 0xDFFF).map(chr),
+)
+
+
+@st.composite
+def near_graph6_lines(draw):
+    """A graph6 line or a run of graph6 characters, with whitespace and lone
+    surrogates drawn around it and at one place inside it."""
+    core = draw(st.one_of(graphs(max_order=20).map(write_graph6), st.text(_G6_CHARS, max_size=8)))
+    prefix = draw(st.sampled_from(["", ">>graph6<<"]))
+    at = draw(st.integers(0, len(core)))
+    inside = draw(st.text(_NOISE, max_size=1))
+    before, after = draw(st.text(_NOISE, max_size=3)), draw(st.text(_NOISE, max_size=3))
+    return before + prefix + core[:at] + inside + core[at:] + after
 
 
 # n = 3000 fills 749,750 data bytes, about 11.4 slices; n = 2999 has 5
@@ -334,9 +363,23 @@ class TestGraph6Slices:
         " \t>>graph6<<{}\r\n", "{}\x1c\x1f", "\x0b{}\x0c", "\u00a0{}\u2003", "\n" * 70_000 + "{}",
     ])
     def test_whitespace_and_prefix_around_a_long_line(self, text):
-        # str.strip() whitespace, ASCII or not, and runs longer than a slice
+        # ASCII whitespace, in runs longer than a slice too; whitespace outside
+        # ASCII makes a line that is not ASCII, as in its bytes
         g = random_connected_m(2999, 6000, seed=4)
-        assert parse_graph6(text.format(write_graph6(g))) == g
+        line = text.format(write_graph6(g))
+        if line.isascii():
+            assert parse_graph6(line) == g
+        else:
+            with pytest.raises(Graph6ParseError, match="^graph6 input is not ASCII$"):
+                parse_graph6(line)
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(near_graph6_lines())
+    def test_str_line_reads_as_its_bytes(self, text):
+        # the same graph or the same message, from parse_graph6 and read_graph6
+        data = text.encode("utf-8", "surrogatepass")
+        for fn in (parse_graph6, lambda line: list(read_graph6([line]))):
+            assert _outcome(fn, text) == _outcome(fn, data)
 
     @pytest.mark.parametrize("n", [1100, 2999])
     def test_nx_round_trip_across_slices(self, n):
@@ -506,8 +549,19 @@ class TestEdgeListText:
         ("3 1\n0 3\n", "line 2: edge (0, 3) out of range for n=3"),
         ("-1 0\n", "line 1: vertex count must be nonnegative, got -1"),
         ("3 2\n0 1\n\n2 2\n", "line 4: self-loop at vertex 2"),
+        # only an optional '-' and ASCII digits make an integer
+        ("11 1\n0 1_0\n", "line 2: edge line must be two integers"),
+        ("3 1\n+0 2\n", "line 2: edge line must be two integers"),
+        ("3 1\n0 \u0662\n", "line 2: edge line must be two integers"),
+        ("3 1\n0 --1\n", "line 2: edge line must be two integers"),
+        ("+3 0\n", "line 1: header must be two integers"),
+        ("1_1 0\n", "line 1: header must be two integers"),
+        ("\u0663 0\n", "line 1: header must be two integers"),
+        ("3 1\n-1 2\n", "line 2: edge (-1, 2) out of range for n=3"),
     ], ids=["non-integer-header", "negative-m", "three-fields", "out-of-range", "negative-n",
-            "self-loop"])
+            "self-loop", "underscore", "plus-sign", "arabic-indic-digit", "double-minus",
+            "plus-sign-header", "underscore-header", "arabic-indic-digit-header",
+            "negative-vertex"])
     def test_malformed_rejected(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_edge_list(text)
